@@ -509,27 +509,17 @@ def _cmd_campaign(args) -> int:
         _print_campaign_result(res)
         return 0
 
-    from .fi.compose import SectionProfileStore, run_incremental_campaign
     from .fi.parallel import run_incremental_campaign_for_spec
     from .fi.resilience import WorkSpec
 
-    store_path = args.store or os.environ.get("REPRO_STORE") or None
-    if args.workers > 1:
-        spec = WorkSpec(
-            source=built.source, name=args.benchmark, level=args.level,
-            flowery=args.flowery, layer=args.layer, fault_model=fm,
-            cfc=args.cfc,
-        )
-        res = run_incremental_campaign_for_spec(
-            spec, cfg, store_path, workers=args.workers, built=built,
-        )
-    elif store_path:
-        with SectionProfileStore(store_path) as store:
-            res = run_incremental_campaign(built, args.layer, cfg, store,
-                                           fault_model=fm)
-    else:
-        res = run_incremental_campaign(built, args.layer, cfg, None,
-                                       fault_model=fm)
+    spec = WorkSpec(
+        source=built.source, name=args.benchmark, level=args.level,
+        flowery=args.flowery, layer=args.layer, fault_model=fm,
+        cfc=args.cfc,
+    )
+    res = run_incremental_campaign_for_spec(
+        spec, cfg, args.store, workers=args.workers, built=built,
+    )
     print(f"{args.benchmark} {args.layer} n={res.n_total} "
           f"sections={len(res.sections)} simulated={res.simulated} "
           f"replayed={res.replayed} "

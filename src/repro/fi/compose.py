@@ -4,8 +4,8 @@ The whole-program campaign (:mod:`repro.fi.campaign`) answers "what is
 this program's SDC rate" by re-injecting the entire program.  This
 module answers the same question *compositionally* (FastFlip, DESIGN
 §15): partition the program into sections (:mod:`repro.fi.sections`),
-run one injection sub-campaign per section through the checkpoint-
-replay engine, and compose the per-section SDC/DUE/detected profiles —
+run one injection sub-campaign per section through the campaign
+executor, and compose the per-section SDC/DUE/detected profiles —
 weighted by each section's share of the dynamic injectable-site space —
 into whole-program estimates with confidence intervals
 (:mod:`repro.fi.stats`).
@@ -59,14 +59,25 @@ import socket
 import time
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CampaignError, StoreLockTimeout
-from .campaign import CampaignConfig, _phase, _record_outcomes
-from .engine import engine_dispatch, run_injection_suite
+from .campaign import (
+    CampaignConfig,
+    _draw,
+    _execute,
+    _Layer,
+    _phase,
+    _prune_plan,
+    _record_outcomes,
+)
+from .engine import engine_dispatch
+# not called here: kept importable because perfbench/spans.py wraps it
+# under this module's name
+from .engine import run_injection_suite  # noqa: F401
 from .journal import (
     FileLock,
     QuarantineLog,
@@ -76,15 +87,9 @@ from .journal import (
     seal_doc,
 )
 from .outcomes import Outcome
-from .resilience import (
-    ROW_FIELDS,
-    _row_from_result,
-    pruned_row,
-    record_from_row,
-)
+from .resilience import ROW_FIELDS, record_from_row
 from .sections import SiteMap, map_sites
 from .stats import DEFAULT_Z, composed_interval
-from ..faultmodel import fault_bit_range, validate_fault_model
 
 __all__ = [
     "STORE_SCHEMA",
@@ -1052,18 +1057,6 @@ def _allocate(n: int, site_counts: Sequence[int]) -> List[int]:
     return alloc
 
 
-def _draw_section(
-    seed: int, n: int, dyn_indices: Sequence[int], fault_model: str,
-) -> List[Tuple[int, int]]:
-    """Draw ``n`` (global dynamic index, fault coordinate) pairs
-    uniformly over one section's dynamic site list."""
-    rng = np.random.default_rng(seed)
-    positions = rng.integers(0, len(dyn_indices), size=n)
-    bits = rng.integers(0, fault_bit_range(fault_model), size=n)
-    return [(dyn_indices[p], int(b))
-            for p, b in zip(positions.tolist(), bits.tolist())]
-
-
 def run_incremental_campaign(
     built,
     layer: str,
@@ -1090,11 +1083,13 @@ def run_incremental_campaign(
     equivalence tests compose against whole-program exhaustive
     campaigns.
 
-    ``store=None`` runs storeless (every section simulates).  With
-    ``spec`` (a :class:`~repro.fi.resilience.WorkSpec`) and
-    ``workers > 1`` the pending injections run under the chunked crash-
-    tolerant supervisor; otherwise they run in-process through the
-    checkpoint-replay engine.
+    ``store=None`` runs storeless (every section simulates).  The
+    pending injections go through the campaign executor
+    (:func:`repro.fi.campaign._execute`) with the store as its sink:
+    with ``spec`` (a :class:`~repro.fi.resilience.WorkSpec`) and
+    ``workers > 1`` under the chunked crash-tolerant supervisor,
+    otherwise in-process (the checkpoint-replay engine, or the naive
+    oracle under ``REPRO_ENGINE=0``).
 
     Against a *shared* store, sections another live campaign already
     claimed are not re-simulated: after executing and committing its
@@ -1102,7 +1097,8 @@ def run_incremental_campaign(
     foreign profiles, taking a section over if its claim goes stale or
     the ``REPRO_STORE_WAIT`` budget expires.
     """
-    fm = validate_fault_model(fault_model)
+    adapter = _Layer.of(built, layer, fault_model)
+    fm = adapter.fault_model
     tier = engine_dispatch(dispatch)
     if config.stratify:
         raise CampaignError(
@@ -1111,20 +1107,8 @@ def run_incremental_campaign(
     with _phase(observer, "sections", layer=layer):
         sm = site_map or cached_site_map(built, layer, fm)
     protection = _protection_doc(built)
-    prune_plan = None
-    if config.prune:
-        from .prune import build_prune_plan
-
-        with _phase(observer, "prune", layer=layer):
-            prune_plan = build_prune_plan(
-                layer,
-                module=getattr(built, "module", None),
-                layout=built.layout,
-                program=getattr(built, "compiled", None),
-                fault_model=fm)
-    max_steps = max(
-        config.min_max_steps, sm.golden_dyn_total * config.max_steps_factor
-    )
+    prune_plan = _prune_plan(adapter, observer) if config.prune else None
+    max_steps = config.max_steps(sm.golden_dyn_total)
     bits_plan = (tuple(int(b) for b in exhaustive_bits)
                  if exhaustive_bits is not None else None)
 
@@ -1160,25 +1144,8 @@ def run_incremental_campaign(
         for o, c in cached.counts.items():
             total_counts[o] += c
 
-    def statically_benign_row(idx: int, bit: int) -> Tuple:
-        if layer == "asm":
-            pc = prune_plan.static_id(idx)
-            inst = built.compiled.inst_at(pc)
-            return pruned_row(
-                "asm", idx, bit, sm.golden_output, pc, fm,
-                asm_role=inst.role, asm_opcode=inst.opcode,
-                iid=inst.prov_iid)
-        return pruned_row("ir", idx, bit, sm.golden_output,
-                          prune_plan.static_id(idx), fm)
-
     def stage_for_execution(pos: int) -> None:
-        """Queue the section's unserved samples for simulation.
-
-        Statically-benign draws short-circuit here: their rows go
-        straight into the section's live set (and the store, so a
-        resumed run replays them like executed rows) without ever
-        reaching the simulator.
-        """
+        """Queue the section's samples the store has not journaled."""
         key = keys[pos]
         samples = plans[pos]
         done = (store.partial_rows(key, len(samples))
@@ -1186,16 +1153,9 @@ def run_incremental_campaign(
         replayed_rows[pos] = {i: r for i, r in done.items()
                               if i < len(samples)}
         live_rows.setdefault(pos, {})
-        for i, (idx, bit) in enumerate(samples):
-            if i in replayed_rows[pos]:
-                continue
-            if prune_plan is not None and prune_plan.is_benign(idx, bit):
-                row = statically_benign_row(idx, bit)
-                if store is not None:
-                    store.record_row(key, len(samples), i, row)
-                live_rows[pos][i] = row
-            else:
-                flat_samples.append(((pos, i), idx, bit))
+        flat_samples.extend(
+            ((pos, i), idx, bit) for i, (idx, bit) in enumerate(samples)
+            if i not in replayed_rows[pos])
 
     for sec in sm.sections:
         pos = sec.index
@@ -1209,9 +1169,10 @@ def run_incremental_campaign(
         key_docs.append(key_doc)
         if bits_plan is None:
             samples = (
-                _draw_section(_section_seed(config.seed, sec, fm),
-                              alloc[pos], sm.dyn_indices[pos], fm)
-                if alloc[pos] > 0 and site_counts[pos] > 0 else []
+                _draw(np.random.default_rng(
+                    _section_seed(config.seed, sec, fm)),
+                    alloc[pos], sm.dyn_indices[pos], fm)
+                if site_counts[pos] > 0 else []
             )
         else:
             samples = [(dyn, b)
@@ -1240,60 +1201,24 @@ def run_incremental_campaign(
 
     # -- execute whatever the store could not serve ---------------------
 
+    def commit(tag: Tuple[int, int], row: Tuple) -> None:
+        """The store sink: every row is journaled under its section's
+        profile key before the profile commits, so a killed run
+        resumes from it."""
+        pos, i = tag
+        if store is not None:
+            store.record_row(keys[pos], len(plans[pos]), i, row)
+        live_rows[pos][i] = tuple(row)
+
     def execute_flat(flat: List[Tuple[Tuple[int, int], int, int]],
-                     *, supervised_ok: bool) -> None:
+                     *, pooled: bool) -> None:
         if not flat:
             return
         with _phase(observer, "inject", layer=layer, n=len(flat)):
-            if supervised_ok and workers > 1 and spec is not None:
-                from .resilience import run_supervised
-
-                tag_of = {}
-                supervised = []
-                for orig, (tag, idx, bit) in enumerate(flat):
-                    tag_of[orig] = tag
-                    supervised.append((orig, idx, bit))
-                # index-sorted chunks keep each chunk's golden replay
-                # window narrow (same trick as run_parallel_campaign)
-                supervised.sort(key=lambda s: (s[1], s[0]))
-
-                class _StoreJournal:
-                    """Duck-typed journal: routes supervisor rows into
-                    the section store under their profile keys."""
-
-                    def record(self, orig: int, row: Tuple) -> None:
-                        pos, i = tag_of[orig]
-                        if store is not None:
-                            store.record_row(keys[pos], len(plans[pos]),
-                                             i, row)
-                        live_rows[pos][i] = tuple(row)
-
-                run_supervised(
-                    spec, supervised, max_steps, workers=workers,
-                    policy=policy, observer=observer,
-                    journal=_StoreJournal(), built=built,
-                )
-            else:
-                def emit(tag, res):
-                    pos, i = tag
-                    idx, bit = plans[pos][i]
-                    row = _row_from_result(layer, idx, bit, res, fm)
-                    if store is not None:
-                        store.record_row(keys[pos], len(plans[pos]),
-                                         i, row)
-                    live_rows[pos][i] = row
-
-                run_injection_suite(
-                    layer,
-                    flat,
-                    max_steps,
-                    module=getattr(built, "module", None),
-                    layout=built.layout,
-                    program=getattr(built, "compiled", None),
-                    emit=emit,
-                    dispatch=tier,
-                    fault_model=fm,
-                )
+            _execute(adapter, flat, max_steps, commit, plan=prune_plan,
+                     golden_output=sm.golden_output, dispatch=tier,
+                     workers=workers if pooled and spec is not None else 1,
+                     spec=spec, policy=policy, observer=observer)
 
     def finalize_section(sec) -> None:
         """Aggregate one executed section's rows and commit its profile."""
@@ -1334,7 +1259,7 @@ def run_incremental_campaign(
             total_counts[o] += c
 
     try:
-        execute_flat(flat_samples, supervised_ok=True)
+        execute_flat(flat_samples, pooled=True)
 
         # -- aggregate + commit our own sections ------------------------
         for sec in sm.sections:
@@ -1378,12 +1303,10 @@ def run_incremental_campaign(
                                 waiting.remove(pos)
                                 takeover.append(pos)
                     if takeover:
-                        flat: List[Tuple[Tuple[int, int], int, int]] = []
                         before = len(flat_samples)
                         for pos in takeover:
                             stage_for_execution(pos)
-                        flat = flat_samples[before:]
-                        execute_flat(flat, supervised_ok=False)
+                        execute_flat(flat_samples[before:], pooled=False)
                         for pos in takeover:
                             finalize_section(sm.sections[pos])
                     if waiting:

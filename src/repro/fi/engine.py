@@ -42,11 +42,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..contain import host_escape_result
 from ..errors import CampaignError
 from ..execresult import ExecResult
-from ..faultmodel import validate_fault_model
-from ..interp.interpreter import IRInterpreter
 from ..interp.layout import GlobalLayout
 from ..ir.module import Module
-from ..machine.machine import AsmMachine, CompiledProgram
+from ..machine.machine import CompiledProgram
 
 __all__ = ["engine_dispatch", "engine_enabled", "run_injection_suite"]
 
@@ -117,18 +115,15 @@ def run_injection_suite(
     ``replays``.  This is the denominator behind the pruning benchmark's
     "fewer simulated steps" claim (:mod:`repro.fi.prune`).
     """
+    # the adapter lives with the campaign driver, which imports this module
+    from .campaign import _Layer
+
     tier = engine_dispatch(dispatch)
-    fm = validate_fault_model(fault_model)
-    if layer == "ir":
-        def fresh():
-            return IRInterpreter(module, layout=layout, max_steps=max_steps,
-                                 dispatch=tier, fault_model=fm)
-    elif layer == "asm":
-        def fresh():
-            return AsmMachine(program, layout, max_steps=max_steps,
-                              dispatch=tier, fault_model=fm)
-    else:
-        raise ValueError(f"unknown layer {layer!r}")
+    adapter = _Layer(layer, module=module, layout=layout, program=program,
+                     fault_model=fault_model)
+
+    def fresh():
+        return adapter.simulator(tier, max_steps)
 
     by_idx: Dict[int, List[Tuple[object, int]]] = {}
     for tag, idx, bit in samples:

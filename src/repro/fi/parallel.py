@@ -6,46 +6,25 @@ campaign out over worker processes; each worker rebuilds the pipeline
 from a compact :class:`WorkSpec` (source + protection parameters)
 because compiled program graphs are cheaper to rebuild than to pickle.
 
-Execution goes through the resilience layer
-(:mod:`repro.fi.resilience`): bounded-size chunks with per-chunk
-watchdogs, crash retry, and an optional on-disk injection journal that
-lets a killed campaign resume bit-identically.  On a single-core host
-(or with ``workers=1``) it falls back to the serial runners — results
-are bit-identical either way because the (index, bit) sample list is
-drawn once up front from the campaign seed and each sample carries its
-original position through the work units.
+:func:`run_parallel_campaign` is the build phase plus the campaign
+driver of :mod:`repro.fi.campaign`: with ``workers > 1`` its executor
+hands the samples to the resilience layer (:mod:`repro.fi.resilience`)
+— bounded-size chunks with per-chunk watchdogs and crash retry — and
+with ``journal_path`` every classified injection lands in an on-disk
+journal that lets a killed campaign resume bit-identically.  Results
+are bit-identical for any worker count because the (index, bit) sample
+list is drawn once up front from the campaign seed and each sample
+carries its original position through the work units.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..errors import CampaignError
-from ..execresult import RunStatus
-from ..faultmodel import validate_fault_model
-from .campaign import (
-    CampaignConfig,
-    CampaignResult,
-    InjectionRecord,
-    _draw,
-    _phase,
-    _record_outcomes,
-    run_asm_campaign,
-    run_ir_campaign,
-)
-from .outcomes import Outcome
-from .resilience import (
-    InjectionJournal,
-    ResiliencePolicy,
-    WorkSpec,
-    _build_from_spec,
-    pruned_row,
-    record_from_row,
-    run_supervised,
-)
+from .campaign import CampaignConfig, CampaignResult, _Layer, _phase, _run
+from .resilience import ResiliencePolicy, WorkSpec, _build_from_spec
 
 __all__ = ["WorkSpec", "run_parallel_campaign",
            "run_incremental_campaign_for_spec", "default_workers"]
@@ -92,136 +71,20 @@ def run_parallel_campaign(
     :class:`repro.trace.CampaignObserver` receives phase timings,
     per-chunk throughput, retry/timeout/resume events, and the outcome
     histogram.  ``built`` short-circuits the build phase when the
-    caller already compiled the spec'd program.
+    caller already compiled the spec'd program.  A stratified campaign
+    (``config.stratify``) runs in-process and cannot be journaled.
     """
+    if config.stratify and journal_path is not None:
+        raise CampaignError(
+            "stratified campaigns cannot be journaled; run without a "
+            "journal or without stratify")
     workers = workers or default_workers()
-    fm = validate_fault_model(spec.fault_model)
     if built is None:
         with _phase(observer, "build", layer=spec.layer):
             built = _build_from_spec(spec)
-    with _phase(observer, "golden", layer=spec.layer):
-        # the golden run's dyn_injectable counts the fault model's own
-        # site universe (cf faults target branch sites, not values)
-        if spec.layer == "ir":
-            golden = built.run_ir(fault_model=fm)
-        else:
-            golden = built.run_asm(fault_model=fm)
-    if golden.status is not RunStatus.OK:
-        raise CampaignError(
-            f"golden {spec.layer} run failed: "
-            f"{golden.status.value}/{golden.trap_kind}"
-        )
-    max_steps = max(
-        config.min_max_steps, golden.dyn_total * config.max_steps_factor
-    )
-
-    if config.stratify:
-        # stratified campaigns have their own draw/estimator; the serial
-        # runner delegates to repro.fi.prune (journaling not supported)
-        if spec.layer == "ir":
-            return run_ir_campaign(built.module, config, built.layout,
-                                   observer=observer, fault_model=fm)
-        return run_asm_campaign(built.compiled, built.layout, config,
-                                observer=observer, fault_model=fm)
-
-    if workers <= 1 and journal_path is None:
-        if spec.layer == "ir":
-            return run_ir_campaign(built.module, config, built.layout,
-                                   observer=observer, fault_model=fm)
-        return run_asm_campaign(built.compiled, built.layout, config,
-                                observer=observer, fault_model=fm)
-
-    rng = np.random.default_rng(config.seed)
-    drawn_indices, drawn_bits = _draw(
-        rng, config.n_campaigns, golden.dyn_injectable, fm)
-    indices = drawn_indices.tolist()
-    bits = drawn_bits.tolist()
-
-    plan = None
-    if config.prune:
-        from .prune import build_prune_plan
-
-        with _phase(observer, "prune", layer=spec.layer):
-            plan = build_prune_plan(
-                spec.layer,
-                module=getattr(built, "module", None),
-                layout=built.layout,
-                program=getattr(built, "compiled", None),
-                fault_model=fm)
-
-    journal = (InjectionJournal.open(journal_path, spec, config)
-               if journal_path else None)
-    try:
-        completed: Dict[int, Tuple] = \
-            dict(journal.completed) if journal else {}
-        if journal is not None and completed and observer is not None:
-            observer.resume(skipped=len(completed), path=journal.path,
-                            layer=spec.layer)
-        # statically-benign draws resolve here, before any worker sees
-        # them: their rows are journaled like executed ones, so resume
-        # stays bit-identical whether or not the interrupted run pruned
-        pruned: Dict[int, Tuple] = {}
-        if plan is not None:
-            for i, (idx, bit) in enumerate(zip(indices, bits)):
-                if i in completed or not plan.is_benign(idx, bit):
-                    continue
-                if spec.layer == "asm":
-                    pc = plan.static_id(idx)
-                    inst = built.compiled.inst_at(pc)
-                    row = pruned_row(
-                        "asm", idx, bit, golden.output, pc, fm,
-                        asm_role=inst.role, asm_opcode=inst.opcode,
-                        iid=inst.prov_iid)
-                else:
-                    row = pruned_row("ir", idx, bit, golden.output,
-                                     plan.static_id(idx), fm)
-                if journal is not None:
-                    journal.record(i, row)
-                pruned[i] = row
-        # every sample carries its original position, so stitching back
-        # is exact for any worker count (including n_campaigns < workers)
-        todo: List[Tuple[int, int, int]] = [
-            (i, idx, bit)
-            for i, (idx, bit) in enumerate(zip(indices, bits))
-            if i not in completed and i not in pruned
-        ]
-        # sort by injection index so each chunk covers a narrow window of
-        # the golden trace: the checkpoint-replay engine stops the
-        # chunk's golden pass at its last checkpoint, so low-index chunks
-        # get cheap.  Ties keep original order; stitching is unaffected
-        # because rows are keyed by original position.
-        todo.sort(key=lambda s: (s[1], s[0]))
-        with _phase(observer, "inject", layer=spec.layer,
-                    n=config.n_campaigns, workers=workers):
-            fresh = run_supervised(
-                spec, todo, max_steps, workers=workers, policy=policy,
-                observer=observer, journal=journal, built=built,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-
-    by_sample = {**completed, **pruned, **fresh}
-    counts: Dict[Outcome, int] = {o: 0 for o in Outcome}
-    records: List[InjectionRecord] = []
-    for i in range(config.n_campaigns):
-        row = by_sample.get(i)
-        if row is None:
-            raise CampaignError(
-                f"campaign incomplete: sample {i} was never classified")
-        outcome, record = record_from_row(row, golden.output)
-        counts[outcome] += 1
-        records.append(record)
-    _record_outcomes(observer, spec.layer, counts)
-    return CampaignResult(
-        layer=spec.layer,
-        n=config.n_campaigns,
-        counts=counts,
-        records=records,
-        golden_output=golden.output,
-        golden_dyn_total=golden.dyn_total,
-        golden_dyn_injectable=golden.dyn_injectable,
-    )
+    return _run(_Layer.of(built, spec.layer, spec.fault_model), config,
+                observer=observer, spec=spec, workers=workers,
+                journal_path=journal_path, policy=policy)
 
 
 def run_incremental_campaign_for_spec(
@@ -252,7 +115,6 @@ def run_incremental_campaign_for_spec(
     from .compose import SectionProfileStore, run_incremental_campaign
 
     workers = workers if workers is not None else default_workers()
-    fm = validate_fault_model(spec.fault_model)
     if built is None:
         with _phase(observer, "build", layer=spec.layer):
             built = _build_from_spec(spec)
@@ -262,7 +124,8 @@ def run_incremental_campaign_for_spec(
     try:
         return run_incremental_campaign(
             built, spec.layer, config, store,
-            fault_model=fm, dispatch=dispatch, observer=observer,
+            fault_model=spec.fault_model, dispatch=dispatch,
+            observer=observer,
             spec=spec, workers=workers, policy=policy,
         )
     finally:

@@ -40,20 +40,24 @@ import numpy as np
 from ..analysis.bitlive import BitliveConfig, BitliveReport, analyze_asm, analyze_ir
 from ..errors import CampaignError
 from ..execresult import RunStatus
-from ..faultmodel import fault_bit_range, validate_fault_model
-from ..interp.interpreter import IRInterpreter
 from ..interp.layout import GlobalLayout
-from ..machine.machine import AsmMachine
 from .campaign import (
     CampaignConfig,
     CampaignResult,
     InjectionRecord,
+    _draw,
+    _execute,
+    _golden,
+    _Layer,
     _phase,
+    _prune_plan,
     _record_outcomes,
+    _simulated_steps,
 )
-from .engine import engine_dispatch, engine_enabled, run_injection_suite
-from .outcomes import Outcome, canonical_trap_kind, classify_outcome
-from .sections import _AsmSiteTap, _IRSiteTap, _ir_site_predicate
+from .engine import run_injection_suite
+from .outcomes import Outcome, canonical_trap_kind
+from .resilience import record_from_row
+from .sections import traced_sites
 from .stats import composed_interval, neyman_allocation, wilson_interval
 
 __all__ = [
@@ -159,43 +163,24 @@ def build_prune_plan(
 ) -> PrunePlan:
     """Analyze + trace one golden run into a :class:`PrunePlan`.
 
-    Mirrors :func:`repro.fi.sections.map_sites`' validation: the traced
-    site sequence must match the golden run's ``dyn_injectable`` count
-    exactly, so predicate/simulator drift is a loud
-    :class:`CampaignError`, never a silently unsound prune.
+    The site sequence comes from the validated traced run that
+    :func:`repro.fi.sections.map_sites` also uses
+    (:func:`repro.fi.sections.traced_sites`), so predicate/simulator
+    drift is a loud :class:`CampaignError`, never a silently unsound
+    prune.
     """
-    fm = validate_fault_model(fault_model)
+    adapter = _Layer(layer, module=module, layout=layout, program=program,
+                     fault_model=fault_model)
+    fm = adapter.fault_model
     if layer == "ir":
-        if module is None:
-            raise CampaignError("IR prune plan needs module=")
-        layout = layout or GlobalLayout(module)
         report = analyze_ir(module, fm, config)
-        tap = _IRSiteTap(_ir_site_predicate(fm))
-        golden = IRInterpreter(
-            module, layout=layout, trace=tap, fault_model=fm).run()
-    elif layer == "asm":
-        if program is None or layout is None:
-            raise CampaignError("asm prune plan needs program= and layout=")
-        report = analyze_asm(program, fm, config)
-        kinds = program.cf_kind if fm == "cf" else program.inj_kind
-        tap = _AsmSiteTap(kinds)
-        golden = AsmMachine(
-            program, layout, trace=tap, fault_model=fm).run()
     else:
-        raise CampaignError(f"unknown layer {layer!r}")
-    if golden.status is not RunStatus.OK:
-        raise CampaignError(
-            f"golden {layer} run failed: "
-            f"{golden.status.value}/{golden.trap_kind}")
-    if len(tap.seq) != golden.dyn_injectable:
-        raise CampaignError(
-            f"site enumeration drift at layer {layer!r} model {fm!r}: "
-            f"tap saw {len(tap.seq)} sites, simulator counted "
-            f"{golden.dyn_injectable}")
+        report = analyze_asm(program, fm, config)
+    golden, seq = traced_sites(adapter)
     return PrunePlan(
         layer=layer,
         fault_model=fm,
-        seq=tap.seq,
+        seq=seq,
         report=report,
         golden_output=golden.output,
         golden_dyn_total=golden.dyn_total,
@@ -228,8 +213,6 @@ def verify_benign(
     plan = build_prune_plan(layer, module=module, layout=layout,
                             program=program, fault_model=fault_model,
                             config=config)
-    if layer == "ir":
-        layout = layout or GlobalLayout(module)
     pairs = plan.benign_pairs()
     violations: List[Tuple[int, int, str, Optional[str]]] = []
 
@@ -245,7 +228,7 @@ def verify_benign(
         run_injection_suite(
             layer,
             [((dyn, bit), dyn, bit) for dyn, bit in pairs],
-            max(20_000, plan.golden_dyn_total * 4),
+            CampaignConfig().max_steps(plan.golden_dyn_total),
             module=module,
             layout=layout,
             program=program,
@@ -370,135 +353,53 @@ def run_stratified_campaign(
     inside each stratum resolve statically, exactly as in the uniform
     path.
     """
-    fm = validate_fault_model(fault_model)
+    adapter = _Layer(layer, module=module, layout=layout, program=program,
+                     fault_model=fault_model)
+    fm = adapter.fault_model
     if fm == "cf":
         raise CampaignError(
             "stratified sampling needs a bit-level fault model "
             "(seu/set); control-flow faults have no bit lattice")
-    use_engine = engine_enabled(engine)
-    tier = engine_dispatch(dispatch) if use_engine else "naive"
-    if layer == "ir":
-        if module is None:
-            raise CampaignError("IR stratified campaign needs module=")
-        layout = layout or GlobalLayout(module)
-        with _phase(observer, "golden", layer=layer):
-            golden = IRInterpreter(module, layout=layout, dispatch=tier,
-                                   fault_model=fm).run()
-    elif layer == "asm":
-        if program is None or layout is None:
-            raise CampaignError(
-                "asm stratified campaign needs program= and layout=")
-        with _phase(observer, "golden", layer=layer):
-            golden = AsmMachine(program, layout, dispatch=tier,
-                                fault_model=fm).run()
-    else:
-        raise CampaignError(f"unknown layer {layer!r}")
-    if golden.status is not RunStatus.OK:
-        raise CampaignError(
-            f"golden {layer} run failed: "
-            f"{golden.status.value}/{golden.trap_kind}")
-    max_steps = max(
-        config.min_max_steps, golden.dyn_total * config.max_steps_factor)
-
-    with _phase(observer, "prune", layer=layer):
-        plan = build_prune_plan(layer, module=module, layout=layout,
-                                program=program, fault_model=fm)
+    golden = _golden(adapter, observer, engine, dispatch)
+    max_steps = config.max_steps(golden.dyn_total)
+    plan = _prune_plan(adapter, observer)
     strata = plan.strata_indices()
     if not strata:
         raise CampaignError("program has no injectable dynamic sites")
     names = [n for n in STRATA if n in strata]
-    total_sites = len(plan.seq)
-    weights = [len(strata[n]) / total_sites for n in names]
-    bit_range = fault_bit_range(fm)
+    weights = [len(strata[n]) / len(plan.seq) for n in names]
     rngs = {n: np.random.default_rng([config.seed, STRATA.index(n)])
             for n in names}
 
-    counts: Dict[Outcome, int] = {o: 0 for o in Outcome}
     per_stratum: Dict[str, Dict[Outcome, int]] = {
         n: {o: 0 for o in Outcome} for n in names}
     records: List[InjectionRecord] = []
-    engine_steps: Dict[str, int] = {}
-    naive = {"steps": 0}
+    stats: Dict[str, int] = {}
 
-    def draw(name: str, k: int) -> List[Tuple[int, int]]:
-        if k <= 0:
-            return []
-        rng = rngs[name]
-        pool = strata[name]
-        pos = rng.integers(0, len(pool), size=k)
-        bits = rng.integers(0, bit_range, size=k)
-        return [(pool[p], b) for p, b in zip(pos.tolist(), bits.tolist())]
-
-    def execute(tagged: List[Tuple[Tuple[str, int], int, int]]) -> None:
-        """Run (or prune) one batch of ((stratum, i), idx, bit) samples."""
-        live = []
-        for tag, idx, bit in tagged:
-            if config.prune and plan.is_benign(idx, bit):
-                name = tag[0]
-                counts[Outcome.PRUNE_BENIGN] += 1
-                per_stratum[name][Outcome.PRUNE_BENIGN] += 1
-                if layer == "asm":
-                    inst = program.inst_at(plan.static_id(idx))
-                    records.append(InjectionRecord(
-                        dyn_index=idx, bit=bit,
-                        outcome=Outcome.PRUNE_BENIGN, iid=inst.prov_iid,
-                        asm_index=plan.static_id(idx), asm_role=inst.role,
-                        asm_opcode=inst.opcode, fault_model=fm))
-                else:
-                    records.append(InjectionRecord(
-                        dyn_index=idx, bit=bit,
-                        outcome=Outcome.PRUNE_BENIGN,
-                        iid=plan.static_id(idx), fault_model=fm))
-            else:
-                live.append((tag, idx, bit))
-
-        def emit(tag, res):
-            outcome = classify_outcome(res, golden.output)
-            counts[outcome] += 1
-            per_stratum[tag[0]][outcome] += 1
-            rec = InjectionRecord(
-                dyn_index=tag[2], bit=tag[3], outcome=outcome,
-                iid=res.injected_iid,
-                trap_kind=canonical_trap_kind(res.trap_kind),
-                fault_model=fm)
-            if layer == "asm":
-                rec.asm_index = res.extra.get("asm_index")
-                rec.asm_role = res.extra.get("asm_role")
-                rec.asm_opcode = res.extra.get("asm_opcode")
-            records.append(rec)
-
-        tagged_live = [((tag[0], tag[1], idx, bit), idx, bit)
-                       for tag, idx, bit in live]
-        if not tagged_live:
-            return
-        if use_engine:
-            run_injection_suite(
-                layer, tagged_live, max_steps, module=module,
-                layout=layout, program=program, emit=emit, dispatch=tier,
-                fault_model=fm, stats=engine_steps)
-        else:
-            for tag, idx, bit in tagged_live:
-                if layer == "ir":
-                    res = IRInterpreter(
-                        module, layout=layout, max_steps=max_steps,
-                        dispatch="naive", fault_model=fm,
-                    ).run(inject_index=idx, inject_bit=bit)
-                else:
-                    res = AsmMachine(
-                        program, layout, max_steps=max_steps,
-                        dispatch="naive", fault_model=fm,
-                    ).run(inject_index=idx, inject_bit=bit)
-                naive["steps"] += res.dyn_total
-                emit(tag, res)
+    def batch(phase: str, sizes: List[int]) -> None:
+        """Draw, run and record one batch: each stratum's draws in turn,
+        so records follow (batch, stratum, draw position) on every
+        execution path."""
+        samples: List[Tuple[int, int, int]] = []
+        stratum_of: List[str] = []
+        for name, k in zip(names, sizes):
+            for idx, bit in _draw(rngs[name], k, strata[name], fm):
+                samples.append((len(samples), idx, bit))
+                stratum_of.append(name)
+        rows: Dict[int, Tuple] = {}
+        with _phase(observer, phase, layer=layer, n=sum(sizes)):
+            _execute(adapter, samples, max_steps, rows.__setitem__,
+                     plan=plan if config.prune else None,
+                     golden_output=golden.output, engine=engine,
+                     dispatch=dispatch, stats=stats)
+        for pos, name in enumerate(stratum_of):
+            outcome, record = record_from_row(rows[pos], golden.output)
+            per_stratum[name][outcome] += 1
+            records.append(record)
 
     budget = config.n_campaigns
-    pilot_n = {n: min(pilot, max(1, budget // (2 * len(names))))
-               for n in names}
-    with _phase(observer, "pilot", layer=layer,
-                n=sum(pilot_n.values())):
-        execute([((name, i), idx, bit)
-                 for name in names
-                 for i, (idx, bit) in enumerate(draw(name, pilot_n[name]))])
+    pilot_n = [min(pilot, max(1, budget // (2 * len(names))))] * len(names)
+    batch("pilot", pilot_n)
 
     # Neyman allocation of the remaining budget on pilot SDC spread
     sds = []
@@ -507,12 +408,8 @@ def run_stratified_campaign(
         n_h = sum(c.values())
         p_h = c.get(Outcome.SDC, 0) / n_h if n_h else 0.0
         sds.append((p_h * (1 - p_h)) ** 0.5)
-    remaining = max(0, budget - sum(pilot_n.values()))
-    extra = neyman_allocation(weights, sds, remaining)
-    with _phase(observer, "inject", layer=layer, n=sum(extra)):
-        execute([((name, pilot_n[name] + i), idx, bit)
-                 for name, k in zip(names, extra)
-                 for i, (idx, bit) in enumerate(draw(name, k))])
+    remaining = max(0, budget - sum(pilot_n))
+    batch("inject", neyman_allocation(weights, sds, remaining))
 
     strata_out = [
         StratumSummary(
@@ -524,6 +421,7 @@ def run_stratified_campaign(
         )
         for name, w in zip(names, weights)
     ]
+    counts = {o: sum(c[o] for c in per_stratum.values()) for o in Outcome}
     _record_outcomes(observer, layer, counts)
     return StratifiedResult(
         layer=layer,
@@ -533,10 +431,6 @@ def run_stratified_campaign(
         golden_output=golden.output,
         golden_dyn_total=golden.dyn_total,
         golden_dyn_injectable=golden.dyn_injectable,
-        simulated_steps=(
-            golden.dyn_total
-            + engine_steps.get("golden_steps", 0)
-            + engine_steps.get("suffix_steps", 0)
-            + naive["steps"]),
+        simulated_steps=_simulated_steps(golden, stats),
         strata=strata_out,
     )

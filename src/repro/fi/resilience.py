@@ -36,17 +36,16 @@ import json
 import os
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..contain import host_escape_result
 from ..errors import CampaignError
 from ..execresult import ExecResult, RunStatus
-from ..interp.interpreter import IRInterpreter
-from ..machine.machine import AsmMachine
-from .campaign import CampaignConfig, InjectionRecord
-from .engine import engine_enabled, run_injection_suite
+from .campaign import CampaignConfig, InjectionRecord, _execute, _Layer
+# not called here: kept importable because perfbench/spans.py wraps it
+# under this module's name
+from .engine import run_injection_suite  # noqa: F401
 from .journal import QuarantineLog, append_doc, scan_jsonl
 from .outcomes import Outcome, canonical_trap_kind, classify_outcome
 
@@ -187,7 +186,7 @@ def campaign_key(spec: WorkSpec, config: CampaignConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# row helpers shared by workers, serial fallback, and journal replay
+# the row format, shared by the executor, the sinks and journal replay
 # ---------------------------------------------------------------------------
 
 #: process-global memo of built pipelines, keyed by the layer-independent
@@ -231,12 +230,12 @@ def _build_from_spec(spec: WorkSpec):
     return built
 
 
-def _row_from_result(layer: str, idx: int, bit: int, res: ExecResult,
+def _row_from_result(idx: int, bit: int, res: ExecResult,
                      fault_model: str = "seu") -> Tuple:
-    """Flatten one execution result into a JSON/pickle-safe row."""
-    if layer == "ir":
-        return (idx, bit, res.status.value, res.output, res.injected_iid,
-                None, None, None, res.trap_kind, fault_model, 0)
+    """Flatten one execution result into a JSON/pickle-safe row.
+
+    The asm fields come from the machine's ``extra``; IR results carry
+    none, so their rows hold None there."""
     return (idx, bit, res.status.value, res.output, res.injected_iid,
             res.extra.get("asm_index"), res.extra.get("asm_role"),
             res.extra.get("asm_opcode"), res.trap_kind, fault_model, 0)
@@ -258,66 +257,6 @@ def pruned_row(layer: str, idx: int, bit: int, golden_output: str,
                 None, None, None, None, fault_model, 1)
     return (idx, bit, RunStatus.OK.value, golden_output, iid,
             static_id, asm_role, asm_opcode, None, fault_model, 1)
-
-
-def _execute_chunk(built, layer: str,
-                   samples: List[Tuple[int, int, int]], max_steps: int,
-                   emit: Callable[[int, Tuple], None],
-                   fault_model: str = "seu") -> None:
-    """Run one chunk of ``(original_index, idx, bit)`` samples.
-
-    Routes through the checkpoint-replay engine when enabled (the
-    chunk's golden prefix is shared across its samples), falling back to
-    naive per-sample re-execution otherwise.  ``emit(orig, row)`` fires
-    once per sample as soon as its row is classified, so callers can
-    stream partial progress (journal writes, pipe sends) even if the
-    process dies mid-chunk.
-    """
-    if engine_enabled():
-        def engine_emit(tag, res):
-            orig, idx, bit = tag
-            emit(orig, _row_from_result(layer, idx, bit, res, fault_model))
-
-        run_injection_suite(
-            layer,
-            [((orig, idx, bit), idx, bit) for orig, idx, bit in samples],
-            max_steps,
-            module=getattr(built, "module", None),
-            layout=built.layout,
-            program=getattr(built, "compiled", None),
-            emit=engine_emit,
-            fault_model=fault_model,
-        )
-        return
-    for orig, idx, bit in samples:
-        emit(orig, _execute_sample(built, layer, idx, bit, max_steps,
-                                   fault_model))
-
-
-def _execute_sample(built, layer: str, idx: int, bit: int,
-                    max_steps: int, fault_model: str = "seu") -> Tuple:
-    """Run one injection; the returned row is JSON- and pickle-safe.
-
-    A ``MemoryError``/``RecursionError`` that slips past the simulator's
-    own containment boundary is a property of this *one* injection, not
-    of the worker: classify it as a ``host-escape`` trap row instead of
-    letting the process die and burn the supervisor's split-retry
-    budget re-executing the same poisoned sample (DESIGN §11).
-    """
-    try:
-        if layer == "ir":
-            res = IRInterpreter(
-                built.module, layout=built.layout, max_steps=max_steps,
-                dispatch="naive", fault_model=fault_model,
-            ).run(inject_index=idx, inject_bit=bit)
-        else:
-            res = AsmMachine(
-                built.compiled, built.layout, max_steps=max_steps,
-                dispatch="naive", fault_model=fault_model,
-            ).run(inject_index=idx, inject_bit=bit)
-    except (MemoryError, RecursionError) as exc:
-        res = host_escape_result(exc, layer=layer)
-    return _row_from_result(layer, idx, bit, res, fault_model)
 
 
 def record_from_row(row: Tuple, golden_output: str
@@ -490,10 +429,10 @@ class InjectionJournal:
 
 @dataclass
 class _Chunk:
-    """One bounded work unit: samples carry their original index."""
+    """One bounded work unit: samples carry their plan position."""
 
     id: int
-    samples: List[Tuple[int, int, int]]     # (original_index, idx, bit)
+    samples: List[Tuple[object, int, int]]  # (position, idx, bit)
     retries: int = 0
 
 
@@ -529,7 +468,7 @@ def _test_fault_hook() -> None:
 
 
 def _chunk_worker(conn, spec: WorkSpec,
-                  samples: List[Tuple[int, int, int]],
+                  samples: List[Tuple[object, int, int]],
                   max_steps: int) -> None:
     """Child entry point: rebuild, run the chunk, stream rows back.
 
@@ -539,10 +478,10 @@ def _chunk_worker(conn, spec: WorkSpec,
     try:
         _test_fault_hook()
         t0 = time.perf_counter()
-        built = _build_from_spec(spec)
-        _execute_chunk(built, spec.layer, samples, max_steps,
-                       lambda orig, row: conn.send(("row", orig, row)),
-                       fault_model=spec.fault_model)
+        adapter = _Layer.of(_build_from_spec(spec), spec.layer,
+                            spec.fault_model)
+        _execute(adapter, samples, max_steps,
+                 lambda orig, row: conn.send(("row", orig, row)))
         conn.send(("done", time.perf_counter() - t0))
     except Exception as exc:                      # noqa: BLE001
         # surface the failure to the supervisor; it decides on retries
@@ -563,7 +502,7 @@ def _chunk_sizes(n: int, workers: int, policy: ResiliencePolicy) -> int:
     return max(1, min(policy.max_chunk, per_worker))
 
 
-def _describe_samples(samples: List[Tuple[int, int, int]]) -> str:
+def _describe_samples(samples: List[Tuple[object, int, int]]) -> str:
     head = ", ".join(f"#{orig}(idx={idx},bit={bit})"
                      for orig, idx, bit in samples[:4])
     more = f", ... {len(samples) - 4} more" if len(samples) > 4 else ""
@@ -572,47 +511,37 @@ def _describe_samples(samples: List[Tuple[int, int, int]]) -> str:
 
 def run_supervised(
     spec: WorkSpec,
-    samples: List[Tuple[int, int, int]],
+    samples: List[Tuple[object, int, int]],
     max_steps: int,
     *,
     workers: int,
+    commit: Callable[[object, Tuple], None],
+    adapter: _Layer,
     policy: Optional[ResiliencePolicy] = None,
     observer=None,
-    journal: Optional[InjectionJournal] = None,
-    built=None,
-) -> Dict[int, Tuple]:
-    """Execute ``samples`` (``(original_index, idx, bit)``) and return
-    ``{original_index: row}``, surviving worker crashes and hangs.
+) -> None:
+    """Execute ``samples`` (``(position, idx, bit)``) on ``workers``
+    spawned processes, surviving worker crashes and hangs.
 
-    ``workers <= 1`` — or any failure to create the spawn context or
-    its processes — degrades to in-process serial execution, which
-    still journals per-row.
+    Each worker rebuilds ``spec``.  ``commit(position, row)`` fires
+    exactly once per sample, as its row arrives.  Any failure to create
+    the spawn context or its processes degrades to in-process execution
+    on ``adapter``, which still commits per row.
     """
     policy = policy or ResiliencePolicy()
-    results: Dict[int, Tuple] = {}
-    if not samples:
-        return results
+    delivered = set()
 
-    def commit(orig: int, row: Tuple) -> None:
-        results[orig] = tuple(row)
-        if journal is not None:
-            journal.record(orig, results[orig])
+    def deliver(orig, row: Tuple) -> None:
+        delivered.add(orig)
+        commit(orig, tuple(row))
 
-    def run_serially(todo: List[Tuple[int, int, int]]) -> None:
-        nonlocal built
-        if built is None:
-            built = _build_from_spec(spec)
+    def run_serially(todo: List[Tuple[object, int, int]]) -> None:
         t0 = time.perf_counter()
-        remaining = [s for s in todo if s[0] not in results]
-        _execute_chunk(built, spec.layer, remaining, max_steps, commit,
-                       fault_model=spec.fault_model)
+        _execute(adapter, [s for s in todo if s[0] not in delivered],
+                 max_steps, deliver)
         if observer is not None:
             observer.worker(0, len(todo), time.perf_counter() - t0,
                             layer=spec.layer, mode="serial")
-
-    if workers <= 1:
-        run_serially(samples)
-        return results
 
     try:
         ctx = get_context("spawn")
@@ -621,7 +550,7 @@ def run_supervised(
             observer.degrade(reason=f"no spawn context: {exc}",
                              layer=spec.layer)
         run_serially(samples)
-        return results
+        return
 
     size = _chunk_sizes(len(samples), workers, policy)
     next_id = 0
@@ -635,7 +564,7 @@ def run_supervised(
 
     def requeue(r: _Running, reason: str) -> None:
         nonlocal next_id
-        remaining = [s for s in r.chunk.samples if s[0] not in results]
+        remaining = [s for s in r.chunk.samples if s[0] not in delivered]
         if not remaining:
             return
         retries = r.chunk.retries + 1
@@ -709,7 +638,7 @@ def run_supervised(
                     while r.conn.poll():
                         msg = r.conn.recv()
                         if msg[0] == "row":
-                            commit(msg[1], msg[2])
+                            deliver(msg[1], msg[2])
                         elif msg[0] == "done":
                             r.finished = True
                             r.secs = msg[1]
@@ -748,4 +677,3 @@ def run_supervised(
             if r.proc.is_alive():
                 r.proc.terminate()
             reap(r)
-    return results

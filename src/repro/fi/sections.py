@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
-from ..execresult import ExecResult, RunStatus
-from ..faultmodel import validate_fault_model
-from ..interp.layout import GlobalLayout
+from ..execresult import ExecResult
 from ..ir.instructions import (
     Alloca,
     Br,
@@ -52,6 +50,7 @@ from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, GlobalVariable
 from ..machine.machine import CompiledProgram
 from ..trace.tap import IRTracer, MachineTracer
+from .campaign import _Layer
 
 __all__ = [
     "Section",
@@ -61,6 +60,7 @@ __all__ = [
     "ir_function_hash",
     "asm_region_hash",
     "module_env_hash",
+    "traced_sites",
     "map_sites",
     "MIN_ASM_REGION",
 ]
@@ -312,6 +312,26 @@ def _ir_site_predicate(fault_model: str) -> Callable[[Instruction], bool]:
     return lambda inst: inst.is_ir_injection_site
 
 
+def traced_sites(layer: _Layer) -> Tuple[ExecResult, List[int]]:
+    """One traced golden run: the result plus the static id (IR iid /
+    asm pc) of every dynamic injectable site, in allocation order.
+
+    ``layer`` is a campaign layer adapter; its site tap records the
+    sites of its fault model.  The sequence must match the golden
+    run's ``dyn_injectable`` count exactly, so drift between a
+    predicate and the simulator is a loud :class:`CampaignError`,
+    never a silently mis-partitioned campaign or an unsound prune.
+    """
+    tap = layer.site_tap()
+    golden = layer.golden(trace=tap)
+    if len(tap.seq) != golden.dyn_injectable:
+        raise CampaignError(
+            f"site enumeration drift at layer {layer.name!r} model "
+            f"{layer.fault_model!r}: tap saw {len(tap.seq)} sites, "
+            f"simulator counted {golden.dyn_injectable}")
+    return golden, tap.seq
+
+
 # ---------------------------------------------------------------------------
 # the site map
 # ---------------------------------------------------------------------------
@@ -339,19 +359,6 @@ class SiteMap:
     def site_counts(self) -> List[int]:
         return [len(d) for d in self.dyn_indices]
 
-    def section_of_static(self, static_id: int) -> Optional[int]:
-        return self._static_index().get(static_id)
-
-    def _static_index(self) -> Dict[int, int]:
-        cached = getattr(self, "_static_idx", None)
-        if cached is None:
-            cached = {}
-            for s in self.sections:
-                for sid in s.static_ids:
-                    cached[sid] = s.index
-            object.__setattr__(self, "_static_idx", cached)
-        return cached
-
 
 def _dyn_signature(section: Section, hits: Dict[int, int]) -> str:
     """Hash of {local static slot: dynamic site count} for one section."""
@@ -370,44 +377,15 @@ def map_sites(
     """One traced golden run -> validated :class:`SiteMap`.
 
     ``built`` is a :class:`~repro.pipeline.BuiltProgram` (anything with
-    ``module``/``layout``/``compiled``).  The traced run uses decoded
-    dispatch (tracing forces it anyway); its site sequence must match
-    the golden ``dyn_injectable`` count exactly or this raises
-    :class:`CampaignError`.
+    ``module``/``layout``/``compiled``); the site sequence comes from
+    :func:`traced_sites`.
     """
-    fm = validate_fault_model(fault_model)
+    adapter = _Layer.of(built, layer, fault_model)
     if layer == "ir":
-        from ..interp.interpreter import IRInterpreter
-
         sections = partition_ir(built.module)
-        tap = _IRSiteTap(_ir_site_predicate(fm))
-        golden = IRInterpreter(
-            built.module, layout=built.layout, trace=tap, fault_model=fm,
-        ).run()
-        env = module_env_hash(built.module)
-    elif layer == "asm":
-        from ..machine.machine import AsmMachine
-
-        program = built.compiled
-        sections = partition_asm(program)
-        kinds = program.cf_kind if fm == "cf" else program.inj_kind
-        tap = _AsmSiteTap(kinds)
-        golden = AsmMachine(
-            program, built.layout, trace=tap, fault_model=fm,
-        ).run()
-        env = module_env_hash(built.module)
     else:
-        raise CampaignError(f"unknown layer {layer!r}")
-
-    if golden.status is not RunStatus.OK:
-        raise CampaignError(
-            f"golden {layer} run failed: "
-            f"{golden.status.value}/{golden.trap_kind}")
-    if len(tap.seq) != golden.dyn_injectable:
-        raise CampaignError(
-            f"site enumeration drift at layer {layer!r} model {fm!r}: "
-            f"tap saw {len(tap.seq)} sites, simulator counted "
-            f"{golden.dyn_injectable}")
+        sections = partition_asm(built.compiled)
+    golden, seq = traced_sites(adapter)
 
     static_to_section: Dict[int, int] = {}
     for s in sections:
@@ -415,7 +393,7 @@ def map_sites(
             static_to_section[sid] = s.index
     dyn_indices: List[List[int]] = [[] for _ in sections]
     hits: List[Dict[int, int]] = [dict() for _ in sections]
-    for dyn, sid in enumerate(tap.seq):
+    for dyn, sid in enumerate(seq):
         pos = static_to_section.get(sid)
         if pos is None:
             raise CampaignError(
@@ -428,12 +406,12 @@ def map_sites(
     ]
     return SiteMap(
         layer=layer,
-        fault_model=fm,
+        fault_model=adapter.fault_model,
         sections=sections,
         dyn_indices=dyn_indices,
         dyn_signatures=signatures,
         golden_output=golden.output,
         golden_dyn_total=golden.dyn_total,
         golden_dyn_injectable=golden.dyn_injectable,
-        env_hash=env,
+        env_hash=module_env_hash(built.module),
     )

@@ -2,7 +2,7 @@
 
 Covers the resource budgets (memory cells, call depth, output bytes),
 the host-escape boundary in all four execution paths, the trap-kind
-rename back-compat alias, the resilience layer's per-sample exhaustion
+rename back-compat alias, the campaign executor's per-sample exhaustion
 guard, and — critically — that the chaos fuzzer *detects* an unguarded
 path instead of passing vacuously."""
 
@@ -24,7 +24,13 @@ from repro.fi.outcomes import (
     canonical_trap_kind,
     classify_outcome,
 )
-from repro.fi.resilience import _execute_sample, record_from_row
+from repro.fi.campaign import (
+    CampaignConfig,
+    _execute,
+    _Layer,
+    run_ir_campaign,
+)
+from repro.fi.resilience import record_from_row
 from repro.interp.interpreter import IRInterpreter
 from repro.machine.machine import AsmMachine
 from repro.memorymodel import Memory
@@ -276,7 +282,7 @@ class TestStepBudgetAlias:
 
 
 # ---------------------------------------------------------------------------
-# resilience layer: per-sample exhaustion guard
+# campaign executor: per-sample exhaustion guard
 # ---------------------------------------------------------------------------
 
 class TestResilienceGuard:
@@ -287,7 +293,10 @@ class TestResilienceGuard:
             raise exc("resource exhausted")
 
         monkeypatch.setattr(IRInterpreter, "run", bomb)
-        row = _execute_sample(loop_built, "ir", 0, 0, 1000)
+        rows = {}
+        _execute(_Layer.of(loop_built, "ir"), [(0, 0, 0)], 1000,
+                 rows.__setitem__, engine=False)
+        row = rows[0]
         assert row[2] == "trap"
         assert row[-3] == HOST_ESCAPE
         assert row[-2] == "seu"
@@ -295,6 +304,26 @@ class TestResilienceGuard:
         outcome, rec = record_from_row(row, "golden")
         assert outcome is Outcome.DUE
         assert rec.trap_kind == HOST_ESCAPE
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_serial_naive_campaign_survives_exhaustion(
+            self, loop_built, monkeypatch, exc):
+        # only injected runs exhaust the host: the golden run finishes,
+        # and every injection becomes a host-escape DUE instead of
+        # killing the campaign
+        run = IRInterpreter.run
+
+        def bomb(self, *a, **kw):
+            if kw.get("inject_index") is not None:
+                raise exc("resource exhausted")
+            return run(self, *a, **kw)
+
+        monkeypatch.setattr(IRInterpreter, "run", bomb)
+        res = run_ir_campaign(loop_built.module,
+                              CampaignConfig(n_campaigns=6, seed=1),
+                              loop_built.layout, engine=False)
+        assert res.counts[Outcome.DUE] == 6
+        assert all(r.trap_kind == HOST_ESCAPE for r in res.records)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,14 @@ class TestCliEntryPoint:
         assert proc.returncode == 0
         assert "phase timings" in proc.stdout
 
+    def test_stratified_journal_fails_loudly(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        proc = _run_cli("stats", "crc32", "--scale", "tiny", "-n", "30",
+                        "--stratify", "--journal", str(journal))
+        assert proc.returncode != 0
+        assert "cannot be journaled" in proc.stderr
+        assert not journal.exists()
+
     def test_usage_error_is_nonzero(self):
         proc = _run_cli("trace")
         assert proc.returncode != 0

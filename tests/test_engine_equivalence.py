@@ -328,6 +328,27 @@ class TestCampaignEquivalence:
                 campaign_signature(fast), layer
 
 
+class TestStratifiedEquivalence:
+    """Stratified campaigns list records in draw order on every path:
+    (stratum, draw position), pilot batch then Neyman batch."""
+
+    @pytest.mark.parametrize("layer,fault_model",
+                             [("ir", "set"), ("asm", "seu")])
+    def test_engine_and_naive_records_in_order(self, layer, fault_model):
+        built = build("crc32", scale="tiny", level=100)
+        cfg = CampaignConfig(n_campaigns=120, seed=5, prune=True,
+                             stratify=True)
+        if layer == "ir":
+            run, args = run_ir_campaign, (built.module, cfg, built.layout)
+        else:
+            run, args = run_asm_campaign, (built.compiled, built.layout,
+                                           cfg)
+        naive = run(*args, engine=False, fault_model=fault_model)
+        fast = run(*args, engine=True, fault_model=fault_model)
+        assert naive.pruned > 0
+        assert campaign_signature(naive) == campaign_signature(fast)
+
+
 class TestRunnersAndResume:
     """The engine composes with the supervisor and the journal."""
 

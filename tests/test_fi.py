@@ -129,6 +129,21 @@ class TestIrCampaign:
             run_ir_campaign(module, CampaignConfig(n_campaigns=5))
 
 
+class TestStratifiedJournal:
+    def test_journal_rejected_before_any_work(self, tmp_path):
+        # a stratified campaign cannot checkpoint; saying so beats
+        # returning a result and leaving no journal to resume
+        from repro.fi.parallel import WorkSpec, run_parallel_campaign
+
+        path = tmp_path / "campaign.jsonl"
+        with pytest.raises(CampaignError, match="cannot be journaled"):
+            run_parallel_campaign(
+                WorkSpec(source=SRC, layer="asm"),
+                CampaignConfig(n_campaigns=60, seed=1, stratify=True),
+                workers=1, journal_path=str(path))
+        assert not path.exists()
+
+
 class TestAsmCampaign:
     def test_counts_and_metadata(self):
         _, layout, _, compiled = compile_and_build(SRC)
