@@ -79,8 +79,8 @@ class SimTrap(Exception):
 
     ``kind`` is a short machine-readable string; the taxonomy (see
     DESIGN §11) is ``"segfault"``, ``"div-by-zero"``, ``"bad-jump"``,
-    ``"stack-overflow"``, ``"unreachable"``, ``"overflow"``, ``"oom"``,
-    the resource budgets ``"step-budget"`` (formerly ``"timeout"``),
+    ``"stack-overflow"``, ``"unreachable"``, ``"overflow"``, the
+    resource budgets ``"step-budget"`` (formerly ``"timeout"``),
     ``"mem-budget"``, ``"output-budget"``, and ``"host-escape"`` (a
     host exception converted at the containment boundary).
     """

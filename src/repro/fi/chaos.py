@@ -18,7 +18,11 @@ reports
   index, bit)``;
 * **divergences** — the same injection produced different results under
   two dispatch tiers, breaking the bit-identity contract the
-  equivalence suite relies on;
+  equivalence suite relies on, or a checkpoint *replay* of it differed
+  from that tier's full run (a restore that leaked a faulty run's wild
+  write, say — every drawn injection is also replayed through one
+  checkpointing golden pass on one reused simulator per
+  snapshot-capable tier, the campaign engine's discipline);
 * an outcome/trap-kind census proving every injection was classified.
 
 ``contain=False`` runs the sweep against the *unguarded* simulators,
@@ -62,6 +66,9 @@ _MAX_STEPS_FACTOR = 4
 _SIG_FIELDS = ("status", "output", "dyn_total", "dyn_injectable",
                "trap_kind", "injected_iid")
 
+#: dispatch tiers that resume from checkpoints (naive cannot)
+_REPLAY_TIERS = ("decoded", "codegen")
+
 
 @dataclass(frozen=True)
 class ChaosEscape:
@@ -95,7 +102,9 @@ class ChaosDivergence:
     """One injection whose result differs between dispatch tiers.
 
     Every tier is compared against the first one executed for the
-    injection (``ref_dispatch``, normally ``naive``)."""
+    injection (``ref_dispatch``, normally ``naive``).  A checkpoint
+    replay is compared against its own tier's full run and reported as
+    ``other_dispatch=f"{tier}-replay"``."""
 
     benchmark: str
     layer: str
@@ -123,6 +132,9 @@ class ChaosReport:
     fault_models: Tuple[str, ...] = ("seu",)
     injections: int = 0
     classified: int = 0
+    #: checkpoint replays checked against full runs (checks, not
+    #: injections: they add to neither count above)
+    replays: int = 0
     escapes: List[ChaosEscape] = field(default_factory=list)
     divergences: List[ChaosDivergence] = field(default_factory=list)
     outcome_counts: Dict[str, int] = field(default_factory=dict)
@@ -147,6 +159,7 @@ class ChaosReport:
             "contain": self.contain,
             "injections": self.injections,
             "classified": self.classified,
+            "replays": self.replays,
             "ok": self.ok,
             "outcome_counts": dict(sorted(self.outcome_counts.items())),
             "trap_counts": dict(sorted(self.trap_counts.items())),
@@ -211,6 +224,56 @@ def _sig(res: ExecResult) -> Dict[str, str]:
     }
 
 
+def _compare(report: ChaosReport, benchmark: str, layer: str,
+             fault_model: str, index: int, bit: int,
+             ref_dispatch: str, ref: Dict[str, str],
+             other_dispatch: str, other: Dict[str, str]) -> None:
+    """Record the first differing field of two result signatures."""
+    for fld in _SIG_FIELDS:
+        if ref[fld] != other[fld]:
+            report.divergences.append(ChaosDivergence(
+                benchmark=benchmark, layer=layer, index=index, bit=bit,
+                field=fld, ref_dispatch=ref_dispatch,
+                other_dispatch=other_dispatch, ref=ref[fld][:120],
+                other=other[fld][:120], fault_model=fault_model))
+            return
+
+
+def _check_replays(report: ChaosReport, benchmark: str, layer: str,
+                   fault_model: str, sim: Callable[[str], object],
+                   full: Dict[Tuple[str, int, int], ExecResult]) -> None:
+    """Replay every injection of ``full`` (keyed ``(tier, index, bit)``)
+    from checkpoints: one checkpointing golden pass, one reused
+    simulator per tier — each replay restores over the previous one's
+    leftovers — and compare against the tier's full run."""
+    by_idx: Dict[int, Dict[int, None]] = {}
+    for _tier, idx, bit in full:
+        by_idx.setdefault(idx, {})[bit] = None
+    if not by_idx:
+        return
+    tiers = sorted({tier for tier, _idx, _bit in full})
+    replay_sims = {tier: sim(tier) for tier in tiers}
+
+    def check(idx: int, snap) -> None:
+        for bit in by_idx[idx]:
+            for tier, rsim in replay_sims.items():
+                ref = full.get((tier, idx, bit))
+                if ref is None:
+                    continue
+                report.replays += 1
+                try:
+                    got = _sig(rsim.run(inject_index=idx, inject_bit=bit,
+                                        resume_from=snap))
+                except Exception as exc:      # noqa: BLE001
+                    got = dict.fromkeys(
+                        _SIG_FIELDS,
+                        f"replay raised {type(exc).__name__}: {exc}")
+                _compare(report, benchmark, layer, fault_model, idx, bit,
+                         tier, _sig(ref), f"{tier}-replay", got)
+
+    sim("decoded").run(checkpoints=sorted(by_idx), checkpoint_cb=check)
+
+
 def chaos_sweep(
     benchmarks: Optional[Sequence[str]] = None,
     scale: str = "tiny",
@@ -230,7 +293,10 @@ def chaos_sweep(
     exceptions become :class:`ChaosEscape` records (the harness itself
     never crashes); cross-dispatch result mismatches — every tier
     against the first — become :class:`ChaosDivergence` records; every
-    result is classified against the golden output.
+    result is classified against the golden output.  The injections are
+    then replayed from checkpoints on each snapshot-capable tier, with
+    the same ``contain`` and step budget, and a replay that differs
+    from its tier's full run is a divergence too.
 
     ``contain`` is forwarded to the simulators (``False`` disables the
     boundary — used by the regression suite to prove the fuzzer detects
@@ -279,6 +345,8 @@ def chaos_sweep(
                 indices = rng.integers(0, golden.dyn_injectable, size=n)
                 bits = rng.integers(0, fault_bit_range(fm), size=n)
 
+                #: full runs of the snapshot-capable tiers, for replays
+                full: Dict[Tuple[str, int, int], ExecResult] = {}
                 for idx, bit in zip(indices.tolist(), bits.tolist()):
                     by_dispatch: Dict[str, ExecResult] = {}
                     for dispatch in dispatches:
@@ -294,6 +362,8 @@ def chaos_sweep(
                                 detail=str(exc), fault_model=fm))
                             continue
                         by_dispatch[dispatch] = res
+                        if dispatch in _REPLAY_TIERS:
+                            full[(dispatch, idx, bit)] = res
                         outcome = classify_outcome(res, golden.output)
                         report.classified += 1
                         key = outcome.value
@@ -308,19 +378,10 @@ def chaos_sweep(
                         ref = present[0]
                         a = _sig(by_dispatch[ref])
                         for other in present[1:]:
-                            b = _sig(by_dispatch[other])
-                            for fld in _SIG_FIELDS:
-                                if a[fld] != b[fld]:
-                                    report.divergences.append(
-                                        ChaosDivergence(
-                                            benchmark=name, layer=layer,
-                                            index=idx, bit=bit, field=fld,
-                                            ref_dispatch=ref,
-                                            other_dispatch=other,
-                                            ref=a[fld][:120],
-                                            other=b[fld][:120],
-                                            fault_model=fm))
-                                    break
+                            _compare(report, name, layer, fm, idx, bit,
+                                     ref, a, other,
+                                     _sig(by_dispatch[other]))
+                _check_replays(report, name, layer, fm, sim, full)
                 if progress is not None:
                     progress(f"{name:14s} {layer:3s} {fm:3s}  "
                              f"{n * len(tuple(dispatches))} injections  "
@@ -341,6 +402,7 @@ def render_chaos(report: ChaosReport) -> str:
         f"contain={'on' if report.contain else 'off'})",
         f"  injections executed:  {report.injections}",
         f"  injections classified: {report.classified}",
+        f"  checkpoint replays checked: {report.replays}",
         f"  outcomes:  " + ", ".join(
             f"{k}={v}" for k, v in sorted(report.outcome_counts.items())),
         f"  trap kinds: " + (", ".join(

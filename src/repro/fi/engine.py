@@ -17,16 +17,21 @@ to replay structure):
 
 Total cost drops to O(trace_len + Σ suffix lengths).  Determinism: both
 simulators are sequential and single-threaded, a snapshot captures the
-complete machine state (memory image, registers/frames, flags, program
+complete machine state (memory, registers/frames, flags, program
 counter, step/injection counters, output buffer), and the replayed
 suffix executes the same closures over the same state — so every replay
 is bit-identical to the corresponding full run, and campaign results
 are bit-identical to the naive path (asserted by
 ``tests/test_engine_equivalence.py``).
 
-The engine holds one snapshot at a time: replays for an index happen
-inside the checkpoint callback, before the golden pass moves on, so
-peak memory is one machine image regardless of campaign size.
+A snapshot's memory is an extent image (:class:`~repro.memorymodel
+.MemoryImage`): only the bytes the run has written, so capturing it
+and restoring it onto the reused replay simulator cost O(bytes
+written), not O(image) (DESIGN §10).  The engine holds one snapshot at
+a time: replays for an index happen inside the checkpoint callback,
+before the golden pass moves on, so peak memory is the golden and
+replay simulators' two images plus one extent image, regardless of
+campaign size.
 
 ``REPRO_ENGINE=0`` disables the engine globally (campaigns fall back to
 the naive re-execution path with naive dispatch — the exact pre-engine
@@ -134,10 +139,11 @@ def run_injection_suite(
     done = set()
 
     # One long-lived replay simulator: resuming from a snapshot resets
-    # the complete machine state, so reusing the instance (rather than
-    # constructing a fresh ~MB memory image per injection, only to
-    # overwrite it immediately) is safe and saves the dominant
-    # allocation cost on short traces.
+    # the complete machine state — its restore zeroes whatever a faulty
+    # replay wrote outside the snapshot's extents — so reusing the
+    # instance (rather than constructing a fresh ~MB memory image per
+    # injection) is safe and saves the dominant allocation cost on
+    # short traces.
     replay_sim = fresh()
 
     def account(suffix: int) -> None:

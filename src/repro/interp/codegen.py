@@ -54,7 +54,9 @@ so the chaos harness's fault bombs hit generated code too).
 Runs that need snapshots, profiling or trace taps delegate to the
 decoded loop (bit-identical by the PR-5 equivalence suite); resuming
 *from* a snapshot runs generated code, entering via a short decoded
-"careful" stretch when the snapshot stopped mid-chunk.
+"careful" stretch when the snapshot stopped mid-chunk.  Inlined stores
+keep the memory's written extent (DESIGN §10) covering what they write
+through the ``LE``/``HS`` bound locals each function hoists at entry.
 
 Fault models (DESIGN §14): generation is parameterized by the fault
 model and cached per (module, layout, fault_model).  SEU output is
@@ -440,6 +442,8 @@ class _Emitter(_Decoder):
         sb.line(f"if _a < GB or _a + {size} > MSZ: "
                 f"raise _SimTrap('segfault', "
                 f"f\"access of {size} bytes at {{_a:#x}}\")")
+        sb.line(f"if _a < HS and _a + {size} > LE: "
+                f"LE, HS = mem.widen(_a, {size})")
         fmt = self._ST_FMT.get(size)
         if fmt is None:
             sb.line(f"md[_a:_a + {size}] = "
@@ -622,6 +626,7 @@ class _Emitter(_Decoder):
                      "mem = ip.memory", "out = ip.outputs",
                      "md = mem.data", "GB = mem.global_base",
                      "MSZ = mem.size",
+                     "LE = mem.lo_end", "HS = mem.hi_start",
                      "SL = mem.stack_limit", "ms = ip.max_steps",
                      "dt = c[0]", "inj = c[1]", "tgt = c[2]",
                      "bit = c[3]"):

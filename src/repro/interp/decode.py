@@ -259,12 +259,15 @@ def _mk_load_int(size: int, signed: bool):
 
 
 def _mk_store_int(size: int):
-    """Specialized store, identical to ``Memory.write_int``."""
+    """Specialized store, identical to ``Memory.write_int`` (written
+    extent included)."""
     m = (1 << (size * 8)) - 1
 
     def f(mem, a, v):
         if a < mem.global_base or a + size > mem.size:
             raise SimTrap("segfault", f"access of {size} bytes at {a:#x}")
+        if a < mem.hi_start and a + size > mem.lo_end:
+            mem.widen(a, size)
         mem.data[a:a + size] = (v & m).to_bytes(size, "little")
 
     return f
@@ -279,6 +282,8 @@ def _ld_f64(mem, a):
 def _st_f64(mem, a, v):
     if a < mem.global_base or a + 8 > mem.size:
         raise SimTrap("segfault", f"access of 8 bytes at {a:#x}")
+    if a < mem.hi_start and a + 8 > mem.lo_end:
+        mem.widen(a, 8)
     try:
         _PACK_F64.pack_into(mem.data, a, v)
     except (OverflowError, ValueError):

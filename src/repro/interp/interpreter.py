@@ -114,15 +114,19 @@ class IRSnapshot:
     Replaying from a snapshot with ``inject_index`` equal to that index
     executes only the post-injection suffix and is bit-identical to a
     full run — the basis of the checkpoint-replay campaign engine.
+
+    ``mem`` is a :class:`~repro.memorymodel.MemoryImage` of the written
+    extents only, so capture and restore cost O(bytes written).  Every
+    field is immutable or copied on resume: one snapshot stays valid
+    after the checkpoint callback and can seed any number of replays.
     """
 
-    __slots__ = ("mem", "heap_break", "sp", "outputs", "dyn_total",
-                 "dyn_injectable", "frames")
+    __slots__ = ("mem", "sp", "outputs", "dyn_total", "dyn_injectable",
+                 "frames")
 
-    def __init__(self, mem, heap_break, sp, outputs, dyn_total,
-                 dyn_injectable, frames):
-        self.mem = mem                      # bytes copy of memory image
-        self.heap_break = heap_break
+    def __init__(self, mem, sp, outputs, dyn_total, dyn_injectable,
+                 frames):
+        self.mem = mem                      # MemoryImage (written extents)
         self.sp = sp
         self.outputs = outputs              # tuple of emitted strings
         self.dyn_total = dyn_total
@@ -481,39 +485,20 @@ class IRInterpreter:
                          resume_from: Optional[IRSnapshot] = None,
                          checkpoints: Optional[Sequence[int]] = None,
                          checkpoint_cb=None):
-        from .decode import decode_module
-
-        dm = decode_module(self.module, self.layout)
         if resume_from is None:
+            from .decode import decode_module
+
             if entry_fn.is_declaration:
                 raise IRError(f"cannot execute declaration @{entry_fn.name}")
+            dm = decode_module(self.module, self.layout)
             stack: List[_Frame] = []
             frame = self._push_frame(entry_fn, args, None)
             dfn = dm.functions[entry_fn]
             frame.block, frame.code = dfn.entry_pair
         else:
-            snap = resume_from
-            mem = self.memory
-            if len(snap.mem) != len(mem.data):
-                raise IRError("snapshot does not match interpreter memory "
-                              "geometry")
-            mem.data[:] = snap.mem
-            mem.heap_break = snap.heap_break
-            self.sp = snap.sp
-            self.outputs[:] = snap.outputs
-            self.dyn_total = snap.dyn_total
-            self.dyn_injectable = snap.dyn_injectable
-            # full reset: one interpreter may serve many replays
-            self.injected = False
-            self.injected_iid = None
-            frames = [
-                _Frame(fn=f, block=b, index=i, temps=dict(t), sp_save=s,
-                       ret_target=rt, arg_values=list(av), ret_flip_bit=rf,
-                       code=c)
-                for (f, b, c, i, t, s, rt, rf, av) in snap.frames
-            ]
-            frame = frames.pop()
-            stack = frames
+            # a resume runs the decoded code its snapshot frames carry,
+            # so it skips the module fingerprint walk of decode_module
+            frame, stack = self._restore(resume_from)
         self._armed = True
         if self.fault_model == "cf":
             return self._run_decoded_cf(frame, stack, checkpoints,
@@ -828,27 +813,7 @@ class IRInterpreter:
             bbs: List[int] = []
             bb = 0
         else:
-            snap = resume_from
-            mem = self.memory
-            if len(snap.mem) != len(mem.data):
-                raise IRError("snapshot does not match interpreter memory "
-                              "geometry")
-            mem.data[:] = snap.mem
-            mem.heap_break = snap.heap_break
-            self.sp = snap.sp
-            self.outputs[:] = snap.outputs
-            self.dyn_total = snap.dyn_total
-            self.dyn_injectable = snap.dyn_injectable
-            self.injected = False
-            self.injected_iid = None
-            frames = [
-                _Frame(fn=f, block=b, index=i, temps=dict(t), sp_save=s,
-                       ret_target=rt, arg_values=list(av), ret_flip_bit=rf,
-                       code=c)
-                for (f, b, c, i, t, s, rt, rf, av) in snap.frames
-            ]
-            frame = frames.pop()
-            stack = frames
+            frame, stack = self._restore(resume_from)
             # outer frames always suspend at after-call positions, which
             # are chunk boundaries by construction
             bbs = [gm.functions[f.fn].entry_bb[(f.block, f.index)]
@@ -1114,14 +1079,36 @@ class IRInterpreter:
             for f in (*stack, frame)
         )
         return IRSnapshot(
-            mem=bytes(self.memory.data),
-            heap_break=self.memory.heap_break,
+            mem=self.memory.snapshot(),
             sp=self.sp,
             outputs=tuple(self.outputs),
             dyn_total=self.dyn_total,
             dyn_injectable=self.dyn_injectable,
             frames=frames,
         )
+
+    def _restore(self, snap: IRSnapshot):
+        """Reset the complete run state to ``snap`` (one interpreter may
+        serve many replays); returns the resumed ``(frame, stack)``."""
+        mem = self.memory
+        if snap.mem.size != mem.size:
+            raise IRError("snapshot does not match interpreter memory "
+                          "geometry")
+        mem.restore(snap.mem)
+        self.sp = snap.sp
+        self.outputs[:] = snap.outputs
+        self.dyn_total = snap.dyn_total
+        self.dyn_injectable = snap.dyn_injectable
+        self.injected = False
+        self.injected_iid = None
+        frames = [
+            _Frame(fn=f, block=b, index=i, temps=dict(t), sp_save=s,
+                   ret_target=rt, arg_values=list(av), ret_flip_bit=rf,
+                   code=c)
+            for (f, b, c, i, t, s, rt, rf, av) in snap.frames
+        ]
+        frame = frames.pop()
+        return frame, frames
 
     # -- helpers -----------------------------------------------------------
 

@@ -19,6 +19,10 @@ not a leader — possible only after an injected fault) exits to
 :func:`careful_until_leader`, which single-steps decoded closures until
 execution re-joins a leader.
 
+Stores (``MOV_MR``, ``MOV_MI``, ``MOVSD_MX``, ``PUSH``, ``CALL``) keep
+the memory's written extent (DESIGN §10) covering what they write
+through the ``LE``/``HS`` bound locals hoisted at function entry.
+
 Counter exactness under coalescing uses the same trick as the IR
 backend: each chunk has a *slow* body (taken only when the flip target
 falls inside it) with per-uop ``s``/``inj`` updates and flip hooks, and
@@ -258,6 +262,13 @@ class _Emitter:
         else:
             sb.line(f"{dest} = _ifb(md[_a:_a + {size}], 'little')")
 
+    def emit_widen(self, sb: SourceBuilder, addr: str, size: int) -> None:
+        """Keep the memory's written extent covering a store at
+        ``addr`` (bounds already checked): one or two compares against
+        the ``LE``/``HS`` locals, refreshed whenever the extent grows."""
+        sb.line(f"if {addr} < HS and {addr} + {size} > LE: "
+                f"LE, HS = mem.widen({addr}, {size})")
+
     def emit_gpr_write(self, sb: SourceBuilder, src: str, size: int) -> None:
         mask = (1 << (8 * size)) - 1
         fmt = _U_FMT.get(size)
@@ -308,10 +319,12 @@ class _Emitter:
                             f'"write {size} at {addr:#x}")')
                 else:
                     sb.line(f"_a = {addr}")
+                    self.emit_widen(sb, "_a", size)
                     self.emit_gpr_write(sb, f"rg[{s}]", size)
             else:
                 sb.line(f"_a = ({disp} + rg[{base}]) & M")
                 self.emit_bounds(sb, size, f"write {size} at")
+                self.emit_widen(sb, "_a", size)
                 self.emit_gpr_write(sb, f"rg[{s}]", size)
         elif code == MOV_MI:
             base, disp, v, size = u[1], u[2], u[3], u[4]
@@ -323,10 +336,12 @@ class _Emitter:
                     sb.line(f'raise _SimTrap("segfault", '
                             f'"write {size} at {addr:#x}")')
                 else:
+                    self.emit_widen(sb, str(addr), size)
                     sb.line(f"md[{addr}:{addr + size}] = {pl}")
             else:
                 sb.line(f"_a = ({disp} + rg[{base}]) & M")
                 self.emit_bounds(sb, size, f"write {size} at")
+                self.emit_widen(sb, "_a", size)
                 sb.line(f"md[_a:_a + {size}] = {pl}")
         elif code == MOVSD_XX:
             sb.line(f"xm[{u[1]}] = xm[{u[2]}]")
@@ -361,10 +376,12 @@ class _Emitter:
                     sb.line(f'raise _SimTrap("segfault", '
                             f'"fp write at {addr:#x}")')
                 else:
+                    self.emit_widen(sb, str(addr), 8)
                     sb.line(f"{sp}(md, {addr}, xm[{s}])")
             else:
                 sb.line(f"_a = ({disp} + rg[{base}]) & M")
                 self.emit_bounds(sb, 8, "fp write at")
+                self.emit_widen(sb, "_a", 8)
                 sb.line(f"{sp}(md, _a, xm[{s}])")
         elif code == LEA:
             d, base, disp = u[1], u[2], u[3]
@@ -478,6 +495,7 @@ class _Emitter:
                           f"or _sp + 8 > {self.hi}:"):
                 sb.line(f'raise _SimTrap("stack-overflow", '
                         f'"push at pc={i}")')
+            self.emit_widen(sb, "_sp", 8)
             spq = self.struct_fn("sp", "Q", "pack_into")
             sb.line(f"{spq}(md, _sp, rg[{u[1]}])")
             sb.line(f"rg[{_RSP}] = _sp")
@@ -616,6 +634,7 @@ class _Emitter:
             with sb.block("if dp > mxd:"):
                 sb.line('raise _SimTrap("stack-overflow", '
                         f'f"call depth {{mxd}} exceeded at pc={i}")')
+            self.emit_widen(sb, "_sp", 8)
             spq = self.struct_fn("sp", "Q", "pack_into")
             sb.line(f"{spq}(md, _sp, {nxt})")
             sb.line(f"rg[{_RSP}] = _sp")
@@ -694,6 +713,7 @@ class _Emitter:
         sb.line("def _asm(mc, st, c, bb):")
         sb.indent()
         for pre in ("rg = st.regs", "xm = st.xmm", "md = st.data",
+                    "mem = st.mem", "LE = mem.lo_end", "HS = mem.hi_start",
                     "out = st.outputs", "fl = st.fl", "dp = st.depth",
                     "mxd = st.max_depth", "ms = mc.max_steps",
                     "s = c[0]", "inj = c[1]", "tgt = c[2]", "bit = c[3]"):

@@ -11,7 +11,10 @@ Run state travels in an :class:`AsmState`: GPR/XMM register files
 (lists, shared with the driver loop), the five status flags packed into
 one integer (``zf | sf<<1 | of<<2 | cf<<3 | uf<<4``), the memory
 bytearray, and the output list.  Flags-as-int makes an ALU flag write a
-single store, and a FLAGS fault injection a single XOR.
+single store, and a FLAGS fault injection a single XOR.  Every store
+closure (``MOV_MR``, ``MOV_MI``, ``MOVSD_MX``, ``PUSH``, ``CALL``) also
+keeps the :class:`~repro.memorymodel.Memory` written extent, reached
+through ``st.mem``, covering what it writes (DESIGN §10).
 
 ``main`` returning through its sentinel return address raises
 :class:`_Halt`, which the driver turns into a normal stop.
@@ -62,7 +65,7 @@ class AsmState:
     closures.
     """
 
-    __slots__ = ("regs", "xmm", "fl", "data", "outputs", "machine",
+    __slots__ = ("regs", "xmm", "fl", "data", "mem", "outputs", "machine",
                  "depth", "max_depth")
 
 
@@ -212,10 +215,16 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                                      f"write {size} at {addr:#x}")
                 elif size == 8:
                     def f(st, addr=addr, s=s, nxt=nxt):
+                        m = st.mem
+                        if addr < m.hi_start and addr + 8 > m.lo_end:
+                            m.widen(addr, 8)
                         _PACK_Q.pack_into(st.data, addr, st.regs[s])
                         return nxt
                 else:
                     def f(st, addr=addr, s=s, size=size, nxt=nxt):
+                        m = st.mem
+                        if addr < m.hi_start and addr + size > m.lo_end:
+                            m.widen(addr, size)
                         st.data[addr:addr + size] = (
                             st.regs[s] & ((1 << (8 * size)) - 1)
                         ).to_bytes(size, "little")
@@ -225,6 +234,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                     addr = (disp + st.regs[base]) & _M64
                     if addr < lo or addr + 8 > hi:
                         raise SimTrap("segfault", f"write 8 at {addr:#x}")
+                    m = st.mem
+                    if addr < m.hi_start and addr + 8 > m.lo_end:
+                        m.widen(addr, 8)
                     _PACK_Q.pack_into(st.data, addr, st.regs[s])
                     return nxt
             else:
@@ -233,6 +245,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                     if addr < lo or addr + size > hi:
                         raise SimTrap("segfault",
                                       f"write {size} at {addr:#x}")
+                    m = st.mem
+                    if addr < m.hi_start and addr + size > m.lo_end:
+                        m.widen(addr, size)
                     st.data[addr:addr + size] = (
                         st.regs[s] & ((1 << (8 * size)) - 1)
                     ).to_bytes(size, "little")
@@ -248,6 +263,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                 else:
                     def f(st, addr=addr, payload=payload, size=size,
                           nxt=nxt):
+                        m = st.mem
+                        if addr < m.hi_start and addr + size > m.lo_end:
+                            m.widen(addr, size)
                         st.data[addr:addr + size] = payload
                         return nxt
             else:
@@ -257,6 +275,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                     if addr < lo or addr + size > hi:
                         raise SimTrap("segfault",
                                       f"write {size} at {addr:#x}")
+                    m = st.mem
+                    if addr < m.hi_start and addr + size > m.lo_end:
+                        m.widen(addr, size)
                     st.data[addr:addr + size] = payload
                     return nxt
         elif code == MOVSD_XX:
@@ -296,6 +317,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                     f = _always_trap("segfault", f"fp write at {addr:#x}")
                 else:
                     def f(st, addr=addr, s=s, nxt=nxt):
+                        m = st.mem
+                        if addr < m.hi_start and addr + 8 > m.lo_end:
+                            m.widen(addr, 8)
                         _PACK_D.pack_into(st.data, addr, st.xmm[s])
                         return nxt
             else:
@@ -303,6 +327,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                     addr = (disp + st.regs[base]) & _M64
                     if addr < lo or addr + 8 > hi:
                         raise SimTrap("segfault", f"fp write at {addr:#x}")
+                    m = st.mem
+                    if addr < m.hi_start and addr + 8 > m.lo_end:
+                        m.widen(addr, 8)
                     _PACK_D.pack_into(st.data, addr, st.xmm[s])
                     return nxt
         elif code == LEA:
@@ -530,6 +557,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                     raise SimTrap(
                         "stack-overflow",
                         f"call depth {st.max_depth} exceeded at pc={cur}")
+                m = st.mem
+                if sp < m.hi_start and sp + 8 > m.lo_end:
+                    m.widen(sp, 8)
                 _PACK_Q.pack_into(st.data, sp, nxt)
                 regs[_RSP] = sp
                 return t
@@ -581,6 +611,9 @@ def _decode(program: CompiledProgram, lo: int, hi: int,
                 sp = (regs[_RSP] - 8) & _M64
                 if sp < stack_limit or sp + 8 > hi:
                     raise SimTrap("stack-overflow", f"push at pc={cur}")
+                m = st.mem
+                if sp < m.hi_start and sp + 8 > m.lo_end:
+                    m.widen(sp, 8)
                 _PACK_Q.pack_into(st.data, sp, regs[s])
                 regs[_RSP] = sp
                 return nxt

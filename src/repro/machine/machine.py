@@ -48,7 +48,7 @@ from ..execresult import ExecResult, RunStatus
 from ..faultmodel import validate_fault_model
 from ..interp.layout import GlobalLayout
 from ..ir.intrinsics import INTRINSICS, math_impl
-from ..memorymodel import Memory
+from ..memorymodel import Memory, MemoryImage
 from ..utils.fmt import format_char, format_f64, format_i64
 from ..backend.isa import AsmInst, GPRS, Imm, Label, Mem, Reg
 from ..backend.program import FlatProgram
@@ -338,18 +338,19 @@ class AsmSnapshot:
     Snapshots are taken *before* the watched instruction executes (the
     fault model flips the destination *after* execution, so a replay
     resumed from the snapshot re-executes the instruction and then
-    applies the flip).  All fields are immutable so one snapshot can
-    seed any number of replays.
+    applies the flip).  ``mem`` is a
+    :class:`~repro.memorymodel.MemoryImage` of the written extents
+    only, so capture and restore cost O(bytes written).  All fields are
+    immutable so one snapshot can seed any number of replays.
     """
 
-    __slots__ = ("mem", "heap_break", "regs", "xmm", "fl", "pc",
-                 "steps", "injectable", "outputs", "depth")
+    __slots__ = ("mem", "regs", "xmm", "fl", "pc", "steps", "injectable",
+                 "outputs", "depth")
 
-    def __init__(self, mem: bytes, heap_break: int, regs: tuple,
-                 xmm: tuple, fl: int, pc: int, steps: int,
-                 injectable: int, outputs: tuple, depth: int = 0):
+    def __init__(self, mem: MemoryImage, regs: tuple, xmm: tuple, fl: int,
+                 pc: int, steps: int, injectable: int, outputs: tuple,
+                 depth: int = 0):
         self.mem = mem
-        self.heap_break = heap_break
         self.regs = regs
         self.xmm = xmm
         self.fl = fl
@@ -538,6 +539,10 @@ class AsmMachine:
         regs = [0] * 16
         xmm = [0.0] * 16
         zf = sf = of = cf = uf = 0
+
+        # this oracle loop stores without extent checks and never
+        # captures or resumes: count the whole image as written
+        mem.widen(lo, hi - lo)
 
         # set up the stack with a sentinel return address
         sp = mem.stack_base - 8
@@ -888,50 +893,7 @@ class AsmMachine:
         from an :class:`AsmSnapshot` and streaming snapshots out at the
         requested ``watch`` injection indices (ascending order).
         """
-        from .decode import AsmState
-
-        prog = self.program
-        mem = self.memory
-        data = mem.data
-
-        st = AsmState()
-        st.data = data
-        st.outputs = self.outputs
-        st.machine = self
-
-        if resume_from is None:
-            regs = [0] * 16
-            xmm = [0.0] * 16
-            st.fl = 0
-            st.depth = 0
-            sp = mem.stack_base - 8
-            data[sp:sp + 8] = _SENTINEL_RET.to_bytes(8, "little")
-            regs[_RSP] = sp
-            regs[_RBP] = sp
-            pc = prog.entry_index
-            steps = 0
-            injectable = 0
-        else:
-            snap = resume_from
-            if len(snap.mem) != len(data):
-                raise ReproError(
-                    "snapshot does not match machine memory geometry")
-            data[:] = snap.mem
-            mem.heap_break = snap.heap_break
-            regs = list(snap.regs)
-            xmm = list(snap.xmm)
-            st.fl = snap.fl
-            st.depth = snap.depth
-            pc = snap.pc
-            steps = snap.steps
-            injectable = snap.injectable
-            self.outputs[:] = snap.outputs
-            # full reset: one machine may serve many replays
-            self.injected_index = None
-        st.regs = regs
-        st.xmm = xmm
-        st.max_depth = self.max_call_depth
-
+        st, pc, steps, injectable = self._start(resume_from)
         self.injected = False
         self._decoded_core(st, pc, steps, injectable,
                            inject_index, inject_bit, watch, watch_cb)
@@ -968,7 +930,6 @@ class AsmMachine:
         n_insts = len(prog.uops)
         gpr_dest = dp.gpr_dest
         xmm_dest = dp.xmm_dest
-        data = st.data
         regs = st.regs
         xmm = st.xmm
 
@@ -998,9 +959,9 @@ class AsmMachine:
                     self.dyn_total = steps
                     self.dyn_injectable = injectable
                     watch_cb(next_watch, AsmSnapshot(
-                        bytes(data), mem.heap_break, tuple(regs),
-                        tuple(xmm), st.fl, pc, steps, injectable,
-                        tuple(self.outputs), st.depth))
+                        mem.snapshot(), tuple(regs), tuple(xmm), st.fl,
+                        pc, steps, injectable, tuple(self.outputs),
+                        st.depth))
                     next_watch = next(watch_iter, None)
                     if next_watch is None:
                         raise CheckpointsDone()
@@ -1071,50 +1032,13 @@ class AsmMachine:
         when the step budget could expire inside the next chunk.
         """
         from .codegen import careful_until_leader, codegen_program
-        from .decode import AsmState, _Halt, decode_program
+        from .decode import _Halt, decode_program
 
         prog = self.program
         mem = self.memory
         cp = codegen_program(prog, mem, self.fault_model)
         dp = decode_program(prog, mem)
-        data = mem.data
-
-        st = AsmState()
-        st.data = data
-        st.outputs = self.outputs
-        st.machine = self
-
-        if resume_from is None:
-            regs = [0] * 16
-            xmm = [0.0] * 16
-            st.fl = 0
-            st.depth = 0
-            sp = mem.stack_base - 8
-            data[sp:sp + 8] = _SENTINEL_RET.to_bytes(8, "little")
-            regs[_RSP] = sp
-            regs[_RBP] = sp
-            pc = prog.entry_index
-            steps = 0
-            injectable = 0
-        else:
-            snap = resume_from
-            if len(snap.mem) != len(data):
-                raise ReproError(
-                    "snapshot does not match machine memory geometry")
-            data[:] = snap.mem
-            mem.heap_break = snap.heap_break
-            regs = list(snap.regs)
-            xmm = list(snap.xmm)
-            st.fl = snap.fl
-            st.depth = snap.depth
-            pc = snap.pc
-            steps = snap.steps
-            injectable = snap.injectable
-            self.outputs[:] = snap.outputs
-            self.injected_index = None
-        st.regs = regs
-        st.xmm = xmm
-        st.max_depth = self.max_call_depth
+        st, pc, steps, injectable = self._start(resume_from)
 
         target = inject_index if inject_index is not None else -1
         self.injected = False
@@ -1153,6 +1077,44 @@ class AsmMachine:
         finally:
             self.dyn_total = c[0]
             self.dyn_injectable = c[1]
+
+    def _start(self, resume_from: Optional[AsmSnapshot]):
+        """Run state of a decoded or generated run: a fresh start, or a
+        full reset to ``resume_from`` (one machine may serve many
+        replays).  Returns ``(st, pc, steps, injectable)``."""
+        from .decode import AsmState
+
+        mem = self.memory
+        st = AsmState()
+        st.data = mem.data
+        st.mem = mem
+        st.outputs = self.outputs
+        st.machine = self
+        st.max_depth = self.max_call_depth
+        if resume_from is None:
+            regs = [0] * 16
+            sp = mem.stack_base - 8
+            mem.widen(sp, 8)
+            mem.data[sp:sp + 8] = _SENTINEL_RET.to_bytes(8, "little")
+            regs[_RSP] = sp
+            regs[_RBP] = sp
+            st.regs = regs
+            st.xmm = [0.0] * 16
+            st.fl = 0
+            st.depth = 0
+            return st, self.program.entry_index, 0, 0
+        snap = resume_from
+        if snap.mem.size != mem.size:
+            raise ReproError(
+                "snapshot does not match machine memory geometry")
+        mem.restore(snap.mem)
+        st.regs = list(snap.regs)
+        st.xmm = list(snap.xmm)
+        st.fl = snap.fl
+        st.depth = snap.depth
+        self.outputs[:] = snap.outputs
+        self.injected_index = None
+        return st, snap.pc, snap.steps, snap.injectable
 
     def _gpr_dest(self, index: int) -> int:
         inst = self.program.inst_at(index)

@@ -425,3 +425,35 @@ class TestChaosSweep:
         assert report.ok
         assert not report.escapes and not report.divergences
         assert report.trap_counts.get(HOST_ESCAPE, 0) > 0
+
+    def test_replays_are_checks_not_injections(self):
+        report = chaos_sweep(benchmarks=["crc32"], scale="tiny", n=6,
+                             seed=7)
+        assert report.ok
+        # 2 layers x 3 fault models x 3 dispatch tiers x 6 injections
+        assert report.injections == 2 * 3 * 3 * 6
+        assert report.classified == report.injections
+        # each distinct draw replays on the decoded and codegen tiers
+        assert 0 < report.replays <= 2 * 3 * 2 * 6
+        assert report.to_doc()["replays"] == report.replays
+        assert "checkpoint replays checked" in render_chaos(report)
+
+    def test_replays_find_a_leaky_restore(self, monkeypatch):
+        # a written extent that misses wild heap writes lets one faulty
+        # replay's leftovers survive the next restore; fresh full runs
+        # cannot see that, the sweep's checkpoint replays must
+        widen = Memory.widen
+
+        def leaky(self, addr, size):
+            if addr < 1 << 20:
+                return self.lo_end, self.hi_start
+            return widen(self, addr, size)
+
+        monkeypatch.setattr(Memory, "widen", leaky)
+        report = chaos_sweep(benchmarks=["bfs"], scale="tiny", n=60,
+                             seed=2023, layers=("ir",),
+                             fault_models=("seu",))
+        assert not report.ok
+        assert report.divergences
+        assert all(d.other_dispatch.endswith("-replay")
+                   for d in report.divergences)

@@ -7,15 +7,19 @@ not."""
 
 import pytest
 
+from repro.faultmodel import FAULT_MODELS
 from repro.fi.bench import campaign_signature, run_campaign_bench
 from repro.fi.campaign import (
     CampaignConfig,
+    _Layer,
     run_asm_campaign,
     run_ir_campaign,
 )
 from repro.fi.parallel import WorkSpec, run_parallel_campaign
 from repro.interp.interpreter import IRInterpreter
-from repro.machine.machine import AsmMachine
+from repro.machine import machine as asm
+from repro.machine.machine import AsmMachine, CompiledProgram
+from repro.memorymodel import Memory
 from repro.pipeline import build, build_from_source
 from repro.protection.duplication import duplicate_module
 
@@ -509,3 +513,139 @@ class TestBenchHarness:
         monkeypatch.delenv("REPRO_ENGINE")
         on = run_ir_campaign(built.module, cfg, built.layout)
         assert campaign_signature(off) == campaign_signature(on)
+
+
+# ---------------------------------------------------------------------------
+# extent snapshots: a restore must undo everything a faulty replay wrote
+
+EXTENT_BENCHMARKS = ("crc32", "bfs", "quicksort")
+EXTENT_CHECKPOINTS = 12
+EXTENT_BITS = (63, 62, 47, 40, 31, 3)
+
+
+@pytest.fixture(scope="module")
+def extent_builds():
+    return {name: build(name, scale="tiny") for name in EXTENT_BENCHMARKS}
+
+
+def _extent_mismatches(built, layer, tier, fault_model):
+    """Checks and mismatches of the restore oracle on one configuration.
+
+    At each of 12 checkpoints spread over the golden run, a reused
+    simulator runs the faulty replay of every bit and then an
+    uninjected resume from the same snapshot; its full memory image,
+    output and status must equal a fresh simulator's uninjected
+    resume.  Returns ``(checks, mismatches, snapshot sizes)``.
+    """
+    adapter = _Layer.of(built, layer, fault_model)
+    golden = adapter.golden()
+    max_steps = CampaignConfig().max_steps(golden.dyn_total)
+    n = golden.dyn_injectable
+    targets = sorted({k * n // EXTENT_CHECKPOINTS
+                      for k in range(EXTENT_CHECKPOINTS)})
+    reused = adapter.simulator(tier, max_steps)
+    counts = {"checks": 0, "mismatches": 0}
+    sizes = []
+
+    def check(idx, snap):
+        sizes.append(len(snap.mem.lo) + len(snap.mem.hi))
+        fresh = adapter.simulator(tier, max_steps)
+        ref = fresh.run(resume_from=snap)
+        for bit in EXTENT_BITS:
+            reused.run(inject_index=idx, inject_bit=bit, resume_from=snap)
+            got = reused.run(resume_from=snap)
+            counts["checks"] += 1
+            if (got.status is not ref.status or got.output != ref.output
+                    or reused.memory.data != fresh.memory.data):
+                counts["mismatches"] += 1
+
+    adapter.simulator("decoded", max_steps).run(checkpoints=targets,
+                                                checkpoint_cb=check)
+    return counts["checks"], counts["mismatches"], sizes
+
+
+#: one store uop each, given the register map and a heap address that
+#: ``rcx`` also holds (``rsp`` points into the middle of the stack)
+_ASM_STORES = {
+    "mov_mr": lambda g, heap: (asm.MOV_MR, g["rcx"], 0, g["rbx"], 8),
+    "mov_mr_abs": lambda g, heap: (asm.MOV_MR, -1, heap, g["rbx"], 2),
+    "mov_mi": lambda g, heap: (asm.MOV_MI, g["rcx"], 0, 0x55, 4),
+    "mov_mi_abs": lambda g, heap: (asm.MOV_MI, -1, heap, 0x66, 8),
+    "movsd_mx": lambda g, heap: (asm.MOVSD_MX, g["rcx"], 0, 0),
+    "movsd_mx_abs": lambda g, heap: (asm.MOVSD_MX, -1, heap, 0),
+    "push": lambda g, heap: (asm.PUSH, g["rbx"]),
+    "call": lambda g, heap: (asm.CALL, 6),
+}
+
+
+def _leaky_widen(monkeypatch):
+    """Mutant: the written extent ignores every write below 1 MiB, so a
+    faulty replay's wild heap writes survive the next restore."""
+    widen = Memory.widen
+
+    def leaky(self, addr, size):
+        if addr < 1 << 20:
+            return self.lo_end, self.hi_start
+        return widen(self, addr, size)
+
+    monkeypatch.setattr(Memory, "widen", leaky)
+
+
+class TestExtentSnapshots:
+    """Snapshots hold only the written extents; restoring one over a
+    simulator a faulty replay left dirty must reproduce the snapshot's
+    memory exactly, on both layers and both snapshot-capable tiers."""
+
+    @pytest.mark.parametrize("fault_model", FAULT_MODELS)
+    @pytest.mark.parametrize("tier", ["decoded", "codegen"])
+    @pytest.mark.parametrize("layer", ["ir", "asm"])
+    @pytest.mark.parametrize("name", EXTENT_BENCHMARKS)
+    def test_restore_after_faulty_replay(self, extent_builds, name, layer,
+                                         tier, fault_model):
+        checks, mismatches, _ = _extent_mismatches(
+            extent_builds[name], layer, tier, fault_model)
+        assert checks == EXTENT_CHECKPOINTS * len(EXTENT_BITS)
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("layer", ["ir", "asm"])
+    def test_snapshot_holds_only_the_written_extent(self, extent_builds,
+                                                    layer):
+        _, _, sizes = _extent_mismatches(extent_builds["crc32"], layer,
+                                         "decoded", "seu")
+        assert len(sizes) == EXTENT_CHECKPOINTS
+        assert max(sizes) <= 4096
+
+    @pytest.mark.parametrize("store", sorted(_ASM_STORES))
+    @pytest.mark.parametrize("tier", ["decoded", "codegen"])
+    def test_every_asm_store_widens(self, built, tier, store):
+        # in a real program a later, deeper frame store covers most
+        # pushes and calls, hiding one that forgot to widen; here each
+        # store uop writes alone into an untouched span, then traps
+        g = asm._GPR_INDEX
+        mem = built.layout.make_memory()
+        heap = mem.heap_base + 8192
+        stack = mem.stack_limit + 4096
+        uops = [
+            (asm.MOV_RI, g["rbx"], 0x1234),
+            (asm.MOVSD_XI, 0, 1.5),
+            (asm.MOV_RI, g["rcx"], heap),
+            (asm.MOV_RI, g["rsp"], stack),
+            _ASM_STORES[store](g, heap),
+            (asm.UD2,),
+            (asm.UD2,),             # CALL target
+        ]
+        program = CompiledProgram(None, uops, [0] * len(uops), 0, [])
+        machine = AsmMachine(program, built.layout, dispatch=tier)
+        assert machine.run().trap_kind == "unreachable"
+        m = machine.memory
+        addr = stack if store in ("push", "call") else heap
+        assert any(m.data[addr - 8:addr + 8])
+        assert m.data[m.lo_end:m.hi_start] == bytes(m.hi_start - m.lo_end)
+
+    def test_leaky_extent_is_caught(self, extent_builds, monkeypatch):
+        _leaky_widen(monkeypatch)
+        found = sum(
+            _extent_mismatches(extent_builds[name], layer, "decoded",
+                               "seu")[1]
+            for name in EXTENT_BENCHMARKS for layer in ("ir", "asm"))
+        assert found > 0

@@ -28,10 +28,6 @@ class TestLayout:
         with pytest.raises(SimTrap):
             mem.read_int(mem.size - 4, 8)
 
-    def test_in_stack(self, mem):
-        assert mem.in_stack(mem.stack_base - 8)
-        assert not mem.in_stack(mem.heap_base)
-
 
 class TestScalarAccess:
     def test_int_roundtrip_signed(self, mem):
@@ -71,24 +67,98 @@ class TestScalarAccess:
 
 
 class TestBulkAccess:
-    def test_bytes_roundtrip(self, mem):
-        mem.write_bytes(GLOBAL_BASE, b"hello world")
-        assert mem.read_bytes(GLOBAL_BASE, 11) == b"hello world"
-
     def test_bulk_oob(self, mem):
         with pytest.raises(SimTrap):
             mem.write_bytes(mem.size - 4, b"too long")
 
 
-class TestSbrk:
-    def test_bump_allocation(self, mem):
-        a = mem.sbrk(100)
-        b = mem.sbrk(100)
-        assert a >= mem.heap_base
-        assert b >= a + 100
-        assert b % 16 == 0
 
-    def test_oom(self, mem):
-        with pytest.raises(SimTrap) as exc:
-            mem.sbrk(1 << 30)
-        assert exc.value.kind == "oom"
+# writes anywhere in a small image: (address, size, value)
+_writes = st.lists(
+    st.tuples(st.integers(GLOBAL_BASE, GLOBAL_BASE + 256 + 8192 - 8),
+              st.sampled_from([1, 2, 4, 8]),
+              st.integers(-(1 << 63), (1 << 63) - 1)),
+    max_size=12)
+
+
+def _small():
+    return Memory(global_size=256, heap_size=4096, stack_size=4096)
+
+
+def _apply(mem, writes):
+    for addr, size, value in writes:
+        mem.write_int(addr, value, size)
+
+
+def _outside_extents_zero(mem):
+    return not any(mem.data[:mem.global_base]) and \
+        not any(mem.data[mem.lo_end:mem.hi_start])
+
+
+class TestWrittenExtent:
+    def test_fresh_image_covers_only_the_globals(self, mem):
+        assert mem.lo_end == mem.global_end
+        assert mem.hi_start == mem.size
+        img = mem.snapshot()
+        assert len(img.lo) == mem.global_end - mem.global_base
+        assert img.hi == b""
+
+    def test_global_write_does_not_widen(self, mem):
+        mem.write_int(GLOBAL_BASE + 8, 7, 8)
+        assert (mem.lo_end, mem.hi_start) == (mem.global_end, mem.size)
+
+    def test_stack_write_grows_the_high_extent(self, mem):
+        mem.write_int(mem.size - 24, -1, 8)
+        assert mem.lo_end == mem.global_end
+        assert mem.hi_start <= mem.size - 24
+        assert mem.size - mem.hi_start <= 2 * 256
+
+    def test_write_past_the_globals_grows_the_low_extent(self, mem):
+        mem.write_f64(mem.global_end + 40, 1.5)
+        assert mem.lo_end >= mem.global_end + 48
+        assert mem.hi_start == mem.size
+
+    def test_bulk_write_widens(self, mem):
+        mem.write_bytes(mem.heap_base + 100, b"hello world")
+        assert mem.lo_end >= mem.heap_base + 111
+        assert bytes(mem.data[mem.heap_base + 100:mem.heap_base + 111]) \
+            == b"hello world"
+
+    def test_meeting_extents_mark_the_whole_image(self, mem):
+        mem.write_int(mem.size - 8, 1, 8)
+        mem.widen(mem.global_end, mem.hi_start - mem.global_end)
+        assert mem.lo_end == mem.hi_start == mem.size
+        img = mem.snapshot()
+        assert len(img.lo) + len(img.hi) == mem.size - mem.global_base
+
+    def test_widen_never_shrinks(self, mem):
+        mem.write_int(mem.heap_base + 600, 1, 8)
+        bounds = (mem.lo_end, mem.hi_start)
+        assert mem.widen(GLOBAL_BASE, 8) == bounds
+        assert mem.widen(mem.heap_base + 600, 8) == bounds
+
+    @given(_writes)
+    def test_bytes_outside_the_extents_stay_zero(self, writes):
+        m = _small()
+        _apply(m, writes)
+        assert _outside_extents_zero(m)
+
+    @given(_writes, _writes, _writes)
+    def test_restore_reproduces_the_captured_image(self, before, after,
+                                                   stray):
+        # source: writes, capture, more writes; target: unrelated writes
+        # (a faulty run's leftovers), then restore from the capture
+        src = _small()
+        _apply(src, before)
+        expected = bytes(src.data)
+        img = src.snapshot()
+        _apply(src, after)
+        dst = _small()
+        _apply(dst, stray)
+        dst.restore(img)
+        assert bytes(dst.data) == expected
+        assert (dst.lo_end, dst.hi_start) == (img.lo_end, img.hi_start)
+        assert _outside_extents_zero(dst)
+        # the capture is independent of its source's later writes
+        src.restore(img)
+        assert bytes(src.data) == expected
