@@ -4,7 +4,8 @@ Every value below is a literal SHA-256: campaign keys, section-profile
 keys, the journal row layout, every record of uniform, pruned and
 stratified campaigns at both layers, and the composed counts of
 storeless incremental campaigns, all on crc32/tiny at dup-100 and one
-seed.  A change to how campaigns are driven must leave every pin as it
+seed; plus the planner's SDC profiles of four unprotected tiny programs
+at two seeds.  A change to how campaigns are driven must leave every pin as it
 is; a deliberate change to a key or a row layout needs a version bump
 (``JOURNAL_VERSION``/``STORE_VERSION``) and new pins.
 
@@ -30,7 +31,8 @@ from repro.fi.resilience import (
     campaign_key,
 )
 from repro.fi.sections import map_sites
-from repro.pipeline import build_from_source
+from repro.pipeline import build, build_from_source
+from repro.protection.planner import profile_module
 
 SEED = 5
 N = 120
@@ -231,3 +233,52 @@ def test_composed_counts(built, layer, prune):
                    result.golden_dyn_injectable],
     }
     assert digest(doc) == COMPOSED[(layer, prune)]
+
+
+# ---------------------------------------------------------------------------
+# planner profiles
+# ---------------------------------------------------------------------------
+
+PROFILE_N = 120
+
+#: (benchmark, seed) -> digest of its unprotected tiny-scale SdcProfile
+PROFILES = {
+    ("bfs", 0):
+        "1dbecc9bcb5c9069b8118ccefd265b9bf3db35e7074421a4c58735b92402a11c",
+    ("bfs", 2023):
+        "c0aaeb9c011d737df85eac05b772d99d88993a3b160711a19e06582ceb05b204",
+    ("crc32", 0):
+        "9d4ca37e68043ad418affe2e04feeed73ea2c40a40605730598ab9c997b62336",
+    ("crc32", 2023):
+        "5b337ae783ea9aad36a5f2a61ad17c822d087dfb90c5624a9fe4cde3c99ee8a9",
+    ("quicksort", 0):
+        "daf6ca3711d5580fb4910c8eec95fd53244dc0fc82aa717211822b67b059b01d",
+    ("quicksort", 2023):
+        "3a2f97218cc9ac23093a3226117e97c26647251dbe9f2ec192d688a77cc02611",
+    ("stringsearch", 0):
+        "66f69bdbbfd3a76d41e6833014c607ddacb9b55fde63b6ca8c680173158254a7",
+    ("stringsearch", 2023):
+        "6cef7755594b63a00baed79bd3b125037240555d98ec0a4ecd6c0e0de8b47cc6",
+}
+
+
+@pytest.fixture(scope="module")
+def raw_builds():
+    return {}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PROFILES))
+def test_profile(raw_builds, name, seed):
+    if name not in raw_builds:
+        raw_builds[name] = build(name, scale="tiny")
+    built = raw_builds[name]
+    profile = profile_module(built.module, n_campaigns=PROFILE_N, seed=seed,
+                             layout=built.layout)
+    doc = {
+        "sdc_counts": sorted(profile.sdc_counts.items()),
+        "sdc_total": profile.sdc_total,
+        "dyn_counts": sorted(profile.dyn_counts.items()),
+        "golden": [profile.golden_output, profile.golden_dyn_total,
+                   profile.golden_dyn_injectable],
+    }
+    assert digest(doc) == PROFILES[(name, seed)]
