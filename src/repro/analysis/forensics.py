@@ -1,11 +1,12 @@
 """Fault forensics: replay one injection and narrate what happened.
 
 Given an :class:`~repro.fi.campaign.InjectionRecord` from a campaign,
-:func:`explain_injection` re-executes the program with the same fault
-and assembles a :class:`FaultStory`: the faulted instruction at both
-layers, the IR provenance chain, the protection state (protected?
-checker folded?), the outcome, and the first point where program output
-diverged from the golden run.  This is the manual analysis the paper's
+:func:`explain_injection` re-executes the program with the same fault,
+under the record's own fault model, and assembles a
+:class:`FaultStory`: the faulted instruction at both layers, the IR
+provenance chain, the protection state (protected? checker folded?),
+the outcome, and the first point where program output diverged from
+the golden run.  This is the manual analysis the paper's
 authors describe doing for every deficiency case (§5.2), automated.
 """
 
@@ -15,12 +16,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..backend.program import AsmProgram
-from ..fi.campaign import InjectionRecord
+from ..fi.campaign import CampaignConfig, InjectionRecord, _Layer
 from ..fi.outcomes import Outcome, classify_outcome
-from ..interp.interpreter import IRInterpreter
 from ..ir.module import Module
 from ..ir.printer import format_instruction
-from ..machine.machine import AsmMachine, CompiledProgram
+from ..machine.machine import CompiledProgram
 from ..protection.duplication import DuplicationInfo
 from .rootcause import Penetration, RootCauseClassifier
 
@@ -115,52 +115,47 @@ def explain_injection(
     max_steps_factor: int = 4,
     lockstep: bool = False,
 ) -> FaultStory:
-    """Replay ``record`` and build its :class:`FaultStory`.
+    """Replay ``record`` under its fault model and build its
+    :class:`FaultStory`.
 
     For the assembly layer, pass the ``compiled`` program and (for
     protection/penetration detail) the ``asm`` program and ``dup_info``.
-    With ``lockstep=True`` (needs ``compiled``) the story additionally
-    carries a cross-layer :class:`~repro.trace.DivergenceReport` that
-    pinpoints the first synchronization point where the faulted layer
-    departs from the other layer.
+    The replay's step budget follows the campaign policy
+    (:meth:`~repro.fi.campaign.CampaignConfig.max_steps` at
+    ``max_steps_factor``).  With ``lockstep=True`` (needs
+    ``compiled``) the story additionally carries a cross-layer
+    :class:`~repro.trace.DivergenceReport` that pinpoints the first
+    synchronization point where the faulted layer departs from the
+    other layer.
     """
+    if layer == "asm" and compiled is None:
+        raise ValueError("asm forensics needs the compiled program")
     inst_by_iid = {i.iid: i for i in module.instructions()}
+    adapter = _Layer(layer, module=module, layout=layout, program=compiled,
+                     fault_model=record.fault_model)
+    golden = adapter.simulator("decoded").run()
+    budget = CampaignConfig(max_steps_factor=max_steps_factor).max_steps(
+        golden.dyn_total)
+    res = adapter.simulator("decoded", budget).run(
+        inject_index=record.dyn_index, inject_bit=record.bit)
+    outcome = classify_outcome(res, golden.output)
 
+    site = "<not injected>"
+    ir_text = None
+    role = None
     if layer == "asm":
-        if compiled is None:
-            raise ValueError("asm forensics needs the compiled program")
-        golden = AsmMachine(compiled, layout).run()
-        budget = max(20_000, golden.dyn_total * max_steps_factor)
-        res = AsmMachine(compiled, layout, max_steps=budget).run(
-            inject_index=record.dyn_index, inject_bit=record.bit
-        )
-        outcome = classify_outcome(res, golden.output)
         asm_index = res.extra.get("asm_index")
-        site = "<not injected>"
-        ir_text = None
-        role = None
         if asm_index is not None:
             inst = compiled.inst_at(asm_index)
             site = str(inst).strip()
             role = inst.role
-            if inst.prov_iid is not None:
-                ir_inst = inst_by_iid.get(inst.prov_iid)
-                if ir_inst is not None:
-                    ir_text = format_instruction(ir_inst)
-    else:
-        golden = IRInterpreter(module, layout=layout).run()
-        budget = max(20_000, golden.dyn_total * max_steps_factor)
-        res = IRInterpreter(module, layout=layout, max_steps=budget).run(
-            inject_index=record.dyn_index, inject_bit=record.bit
-        )
-        outcome = classify_outcome(res, golden.output)
-        role = None
-        ir_text = None
-        site = "<not injected>"
-        if res.injected_iid is not None:
-            ir_inst = inst_by_iid.get(res.injected_iid)
+            ir_inst = inst_by_iid.get(inst.prov_iid)
             if ir_inst is not None:
-                site = format_instruction(ir_inst)
+                ir_text = format_instruction(ir_inst)
+    elif res.injected_iid is not None:
+        ir_inst = inst_by_iid.get(res.injected_iid)
+        if ir_inst is not None:
+            site = format_instruction(ir_inst)
 
     protected = None
     folded = None
@@ -210,6 +205,7 @@ def explain_injection(
             inject_layer=layer,
             inject_index=record.dyn_index,
             inject_bit=record.bit,
+            fault_model=record.fault_model,
         )
     return FaultStory(
         layer=layer,

@@ -20,11 +20,13 @@ interpreter and the assembly machine (see DESIGN §11):
   constant lives here); a runaway call chain traps as
   ``SimTrap("stack-overflow")`` even if each frame is too small for the
   ``sp``-based check to fire first.
-* **host-escape boundary** — :func:`host_escape_result` synthesizes the
-  classified TRAP result used when a host exception crosses the
-  simulator boundary during an injected run (kind
-  :data:`HOST_ESCAPE`), carrying the original exception type, the
-  layer, and the dynamic position for forensics.
+* **host-escape boundary** — :func:`host_escape_record` is the
+  forensics record (original exception type, layer, dynamic position)
+  of a host exception that crosses the simulator boundary during an
+  injected run; the simulators' shared run contract
+  (:mod:`repro.simulator`) attaches it to the TRAP result (kind
+  :data:`HOST_ESCAPE`), and :func:`host_escape_result` synthesizes a
+  whole such result for exceptions caught just outside a simulator.
 
 Containment is on by default and must behave *identically* in both
 dispatch modes ("naive" op-string ladders and pre-decoded closures):
@@ -38,7 +40,7 @@ harness's deliberate un-guarded regression runs.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from .errors import SimTrap
 from .execresult import ExecResult, RunStatus
@@ -50,6 +52,7 @@ __all__ = [
     "HOST_ESCAPE",
     "OutputBuffer",
     "containment_enabled",
+    "host_escape_record",
     "host_escape_result",
 ]
 
@@ -117,6 +120,14 @@ class OutputBuffer(list):
         self.nbytes = sum(len(s) for s in self)
 
 
+def host_escape_record(exc: BaseException, layer: Optional[str] = None,
+                       step: int = 0, index: int = 0) -> Dict[str, object]:
+    """The ``extra["host_escape"]`` forensics of a host exception: its
+    type and message, the layer, and the dynamic position it hit."""
+    return {"exc_type": type(exc).__name__, "detail": str(exc),
+            "layer": layer, "step": step, "index": index}
+
+
 def host_escape_result(exc: BaseException, layer: Optional[str] = None,
                        step: int = 0, index: int = 0) -> ExecResult:
     """Classified TRAP result for a host exception that crossed (or was
@@ -127,11 +138,5 @@ def host_escape_result(exc: BaseException, layer: Optional[str] = None,
         dyn_total=step,
         dyn_injectable=index,
         trap_kind=HOST_ESCAPE,
-        extra={"host_escape": {
-            "exc_type": type(exc).__name__,
-            "detail": str(exc),
-            "layer": layer,
-            "step": step,
-            "index": index,
-        }},
+        extra={"host_escape": host_escape_record(exc, layer, step, index)},
     )

@@ -249,17 +249,18 @@ class _Layer:
                    program=built.compiled, fault_model=fault_model)
 
     def simulator(self, dispatch: str, max_steps: Optional[int] = None,
-                  trace=None):
+                  **options):
         """A fresh simulator; ``max_steps=None`` keeps its default
-        budget (golden runs)."""
-        budget = {} if max_steps is None else {"max_steps": max_steps}
+        budget (golden runs).  ``options`` are further constructor
+        keywords (``trace=``, ``contain=``)."""
+        if max_steps is not None:
+            options["max_steps"] = max_steps
         if self.name == "ir":
             return IRInterpreter(self.module, layout=self.layout,
-                                 dispatch=dispatch, trace=trace,
-                                 fault_model=self.fault_model, **budget)
+                                 dispatch=dispatch,
+                                 fault_model=self.fault_model, **options)
         return AsmMachine(self.program, self.layout, dispatch=dispatch,
-                          trace=trace, fault_model=self.fault_model,
-                          **budget)
+                          fault_model=self.fault_model, **options)
 
     def golden(self, dispatch: str = "decoded", trace=None) -> ExecResult:
         """The fault-free run; one that does not finish OK is an error.

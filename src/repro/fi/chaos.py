@@ -40,10 +40,10 @@ import numpy as np
 
 from ..benchsuite.registry import benchmark_names
 from ..errors import CampaignError
-from ..execresult import ExecResult, RunStatus
+from ..execresult import ExecResult
 from ..faultmodel import FAULT_MODELS, fault_bit_range, validate_fault_model
-from ..interp.interpreter import IRInterpreter
-from ..machine.machine import AsmMachine
+from ..simulator import SNAPSHOT_TIERS, TIERS
+from .campaign import CampaignConfig, _Layer
 from .outcomes import canonical_trap_kind, classify_outcome
 
 __all__ = [
@@ -58,16 +58,9 @@ __all__ = [
 
 CHAOS_SCHEMA = "chaos/2"
 
-#: mirror of the campaign layer's step-budget policy (hangs become DUEs)
-_MIN_MAX_STEPS = 20_000
-_MAX_STEPS_FACTOR = 4
-
 #: result fields that must be bit-identical across dispatch modes
 _SIG_FIELDS = ("status", "output", "dyn_total", "dyn_injectable",
                "trap_kind", "injected_iid")
-
-#: dispatch tiers that resume from checkpoints (naive cannot)
-_REPLAY_TIERS = ("decoded", "codegen")
 
 
 @dataclass(frozen=True)
@@ -280,7 +273,7 @@ def chaos_sweep(
     n: int = 200,
     seed: int = 2023,
     layers: Sequence[str] = ("ir", "asm"),
-    dispatches: Sequence[str] = ("naive", "decoded", "codegen"),
+    dispatches: Sequence[str] = TIERS,
     contain: Optional[bool] = True,
     progress: Optional[Callable[[str], None]] = None,
     fault_models: Sequence[str] = FAULT_MODELS,
@@ -296,7 +289,10 @@ def chaos_sweep(
     result is classified against the golden output.  The injections are
     then replayed from checkpoints on each snapshot-capable tier, with
     the same ``contain`` and step budget, and a replay that differs
-    from its tier's full run is a divergence too.
+    from its tier's full run is a divergence too.  Simulators come from
+    the campaign adapter and the step budget from
+    :meth:`~repro.fi.campaign.CampaignConfig.max_steps`, as in a
+    campaign.
 
     ``contain`` is forwarded to the simulators (``False`` disables the
     boundary — used by the regression suite to prove the fuzzer detects
@@ -317,29 +313,13 @@ def chaos_sweep(
         built = build(name, scale=scale)
         for layer in layers:
             for fm in models:
-                if layer == "ir":
-                    def sim(dispatch):
-                        return IRInterpreter(
-                            built.module, layout=built.layout,
-                            max_steps=max_steps, dispatch=dispatch,
-                            contain=contain, fault_model=fm)
-                elif layer == "asm":
-                    def sim(dispatch):
-                        return AsmMachine(
-                            built.compiled, built.layout,
-                            max_steps=max_steps, dispatch=dispatch,
-                            contain=contain, fault_model=fm)
-                else:
-                    raise CampaignError(f"unknown layer {layer!r}")
+                adapter = _Layer.of(built, layer, fm)
+                golden = adapter.golden()
+                max_steps = CampaignConfig().max_steps(golden.dyn_total)
 
-                max_steps = _MIN_MAX_STEPS
-                golden = sim("decoded").run()
-                if golden.status is not RunStatus.OK:
-                    raise CampaignError(
-                        f"golden {layer} run of {name!r} failed: "
-                        f"{golden.status.value}/{golden.trap_kind}")
-                max_steps = max(_MIN_MAX_STEPS,
-                                golden.dyn_total * _MAX_STEPS_FACTOR)
+                def sim(dispatch):
+                    return adapter.simulator(dispatch, max_steps,
+                                             contain=contain)
 
                 rng = _target_rng(seed, name, layer, fm)
                 indices = rng.integers(0, golden.dyn_injectable, size=n)
@@ -362,7 +342,7 @@ def chaos_sweep(
                                 detail=str(exc), fault_model=fm))
                             continue
                         by_dispatch[dispatch] = res
-                        if dispatch in _REPLAY_TIERS:
+                        if dispatch in SNAPSHOT_TIERS:
                             full[(dispatch, idx, bit)] = res
                         outcome = classify_outcome(res, golden.output)
                         report.classified += 1

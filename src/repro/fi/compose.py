@@ -65,6 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CampaignError, StoreLockTimeout
+from ..interp.decode import _fingerprint
 from .campaign import (
     CampaignConfig,
     _draw,
@@ -983,17 +984,6 @@ _SITE_MAPS: "weakref.WeakKeyDictionary[object, Dict]" = \
     weakref.WeakKeyDictionary()
 
 
-def _module_fingerprint(module) -> Tuple[int, int]:
-    n = 0
-    h = 0
-    for fn in module.functions.values():
-        for block in fn.blocks:
-            for inst in block.instructions:
-                n += 1
-                h ^= id(inst) ^ (inst.iid * 0x9E3779B1)
-    return n, h
-
-
 def cached_site_map(built, layer: str, fault_model: str) -> SiteMap:
     """Per-process memo of :func:`repro.fi.sections.map_sites`.
 
@@ -1003,7 +993,7 @@ def cached_site_map(built, layer: str, fault_model: str) -> SiteMap:
     warm path) pays the traced golden run exactly once.
     """
     module = built.module
-    fp = _module_fingerprint(module)
+    fp = _fingerprint(module)
     per_module = _SITE_MAPS.get(module)
     if per_module is None:
         per_module = {}

@@ -9,11 +9,13 @@ to replay structure):
 
 1. sort the distinct drawn injection indices ascending;
 2. execute the golden trace **once** with ``checkpoints=`` set, letting
-   the decoded simulator stream out an immutable snapshot of machine
-   state at each index (taken just before the targeted instruction
-   executes — the flip lands after it writes its destination);
-3. for each injection at that index, resume a fresh simulator from the
-   snapshot and run only the post-injection *suffix*.
+   the simulator stream out an immutable snapshot of machine state at
+   each index (taken just before the targeted instruction executes —
+   the flip lands after it writes its destination; checkpointing runs
+   on the decoded core whatever the tier);
+3. for each injection at that index, resume the replay simulator from
+   the snapshot — on either snapshot tier, decoded or codegen — and run
+   only the post-injection *suffix*.
 
 Total cost drops to O(trace_len + Σ suffix lengths).  Determinism: both
 simulators are sequential and single-threaded, a snapshot captures the
@@ -50,6 +52,7 @@ from ..execresult import ExecResult
 from ..interp.layout import GlobalLayout
 from ..ir.module import Module
 from ..machine.machine import CompiledProgram
+from ..simulator import SNAPSHOT_TIERS
 
 __all__ = ["engine_dispatch", "engine_enabled", "run_injection_suite"]
 
@@ -71,16 +74,18 @@ def engine_dispatch(dispatch: Optional[str] = None) -> str:
     An explicit ``dispatch`` wins; otherwise ``REPRO_DISPATCH`` decides,
     defaulting to ``"decoded"`` (campaign results are bit-identical
     across tiers, so the default stays conservative and journal hashes
-    stay stable).  Only the snapshot-capable tiers are legal here —
+    stay stable).  Only the snapshot tiers
+    (:data:`~repro.simulator.SNAPSHOT_TIERS`) are legal here —
     ``"naive"`` cannot resume from checkpoints.  A typo (``"codgen"``)
     raises :class:`CampaignError` rather than silently falling back.
     """
     resolved = (dispatch if dispatch is not None
                 else os.environ.get("REPRO_DISPATCH", "decoded"))
-    if resolved not in ("decoded", "codegen"):
+    if resolved not in SNAPSHOT_TIERS:
         raise CampaignError(
-            f"engine dispatch must be 'decoded' or 'codegen', "
-            f"got {resolved!r}")
+            "engine dispatch must be "
+            + " or ".join(repr(t) for t in SNAPSHOT_TIERS)
+            + f", got {resolved!r}")
     return resolved
 
 
@@ -105,10 +110,10 @@ def run_injection_suite(
     golden trace — impossible when drawn below the injectable count, but
     guarded anyway — fall back to plain full executions.
 
-    ``dispatch`` selects the replay tier (see :func:`engine_dispatch`);
-    suffix replays run on it, while the golden checkpointing pass always
-    streams snapshots from the decoded core (the codegen tier delegates
-    internally when checkpoints are requested).  ``fault_model``
+    ``dispatch`` selects the snapshot tier (see :func:`engine_dispatch`);
+    suffix replays resume on it, while the golden checkpointing pass
+    always streams snapshots from the decoded core (the simulators'
+    routing rule, :mod:`repro.simulator`).  ``fault_model``
     (default SEU) selects what the injection corrupts — the simulators
     watch/checkpoint at that model's injectable sites.
 
@@ -152,11 +157,6 @@ def run_injection_suite(
             stats["replays"] = stats.get("replays", 0) + 1
 
     def replay(idx: int, snap) -> None:
-        # IRSnapshot carries ``dyn_total``, AsmSnapshot ``steps`` — both
-        # are the golden step count at the checkpoint
-        prefix = getattr(snap, "steps", None)
-        if prefix is None:
-            prefix = snap.dyn_total
         for tag, bit in by_idx[idx]:
             try:
                 res = replay_sim.run(
@@ -168,7 +168,7 @@ def run_injection_suite(
                 # classify this one injection as a trap instead of
                 # letting the worker die and burn split-retry budget
                 res = host_escape_result(exc, layer=layer)
-            account(max(0, res.dyn_total - prefix))
+            account(max(0, res.dyn_total - snap.dyn_total))
             emit(tag, res)
         done.add(idx)
 

@@ -31,17 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..contain import (
-    DEFAULT_MAX_CALL_DEPTH,
-    DEFAULT_MEM_BUDGET,
-    DEFAULT_OUTPUT_BUDGET,
-    HOST_ESCAPE,
-    OutputBuffer,
-    containment_enabled,
-)
 from ..errors import CheckpointsDone, FaultDetected, IRError, SimTrap
-from ..execresult import ExecResult, RunStatus
-from ..faultmodel import validate_fault_model
+from ..execresult import ExecResult
 from ..ir import types as T
 from ..ir.instructions import (
     Alloca,
@@ -70,7 +61,7 @@ from ..ir.intrinsics import (
 )
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from ..memorymodel import Memory
+from ..simulator import Simulator, Snapshot
 from ..utils import bits
 from ..utils.fmt import format_char, format_f64, format_i64
 from .layout import GlobalLayout
@@ -107,30 +98,21 @@ class _Frame:
     code: Optional[list] = None
 
 
-class IRSnapshot:
-    """Complete mid-run interpreter state, as captured right before the
-    step that allocates one injectable dynamic index.
+class IRSnapshot(Snapshot):
+    """Complete mid-run interpreter state (see :class:`Snapshot`): the
+    shared fields plus the stack pointer and the call frames.
 
-    Replaying from a snapshot with ``inject_index`` equal to that index
+    Replaying from a snapshot with ``inject_index`` equal to its index
     executes only the post-injection suffix and is bit-identical to a
     full run — the basis of the checkpoint-replay campaign engine.
-
-    ``mem`` is a :class:`~repro.memorymodel.MemoryImage` of the written
-    extents only, so capture and restore cost O(bytes written).  Every
-    field is immutable or copied on resume: one snapshot stays valid
-    after the checkpoint callback and can seed any number of replays.
     """
 
-    __slots__ = ("mem", "sp", "outputs", "dyn_total", "dyn_injectable",
-                 "frames")
+    __slots__ = ("sp", "frames")
 
     def __init__(self, mem, sp, outputs, dyn_total, dyn_injectable,
                  frames):
-        self.mem = mem                      # MemoryImage (written extents)
+        super().__init__(mem, outputs, dyn_total, dyn_injectable)
         self.sp = sp
-        self.outputs = outputs              # tuple of emitted strings
-        self.dyn_total = dyn_total
-        self.dyn_injectable = dyn_injectable
         #: tuple of (fn, block, code, index, temps, sp_save, ret_target,
         #: ret_flip_bit, arg_values) per frame, innermost last
         self.frames = frames
@@ -177,8 +159,11 @@ def _c_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-class IRInterpreter:
-    """One interpreter instance per execution (holds mutable run state)."""
+class IRInterpreter(Simulator):
+    """One interpreter instance per execution (holds mutable run state);
+    the run contract lives in :class:`~repro.simulator.Simulator`."""
+
+    layer = "ir"
 
     def __init__(
         self,
@@ -195,57 +180,13 @@ class IRInterpreter:
         mem_budget: Optional[int] = None,
         fault_model: Optional[str] = None,
     ):
-        if dispatch not in ("decoded", "naive", "codegen"):
-            raise IRError(f"unknown dispatch mode {dispatch!r}")
         self.module = module
-        self.layout = layout or GlobalLayout(module)
-        self.max_steps = max_steps
-        self.dispatch = dispatch
-        # what an injection corrupts (seu/set/cf, see repro.faultmodel);
-        # typos raise CampaignError here rather than silently running SEU
-        self.fault_model = validate_fault_model(fault_model)
-        # fault containment (DESIGN §11): resource budgets + host-escape
-        # boundary, identical in both dispatch modes
-        self.contain = containment_enabled(contain)
-        if self.contain:
-            self.max_call_depth = (max_call_depth if max_call_depth
-                                   is not None else DEFAULT_MAX_CALL_DEPTH)
-            if mem_budget is None:
-                mem_budget = DEFAULT_MEM_BUDGET
-            outputs: List[str] = OutputBuffer(
-                output_budget if output_budget is not None
-                else DEFAULT_OUTPUT_BUDGET)
-        else:
-            self.max_call_depth = 1 << 62
-            mem_budget = None
-            outputs = []
-        self._armed = False
-        self.memory: Memory = self.layout.make_memory(
-            heap_size, stack_size, mem_budget=mem_budget)
+        super().__init__(layout or GlobalLayout(module), max_steps,
+                         heap_size, stack_size, trace, dispatch, contain,
+                         max_call_depth, output_budget, mem_budget,
+                         fault_model)
         self.sp = self.memory.stack_base
-        self.outputs = outputs
-        self.dyn_total = 0
-        self.dyn_injectable = 0
-        # fault injection state
-        self.inject_index: Optional[int] = None
-        self.inject_bit: int = 0
-        self.injected = False
         self.injected_iid: Optional[int] = None
-        #: forensics for a control-flow fault: the corrupted edge
-        self._cf_edge: Optional[Dict[str, object]] = None
-        # profiling state: preallocated per-iid array while running,
-        # converted to the public dict form at run end
-        self.per_inst_counts: Optional[Dict[int, int]] = None
-        self._counts: Optional[List[int]] = None
-        # trace tap (off by default; see repro.trace) — accepts a
-        # TraceConfig or a ready IRTracer
-        self.tracer = None
-        if trace is not None:
-            from ..trace.tap import IRTracer
-
-            tracer = trace if isinstance(trace, IRTracer) else IRTracer(trace)
-            tracer.attach(self)
-            self.tracer = tracer
 
     # -- public API ------------------------------------------------------
 
@@ -267,98 +208,38 @@ class IRInterpreter:
         ``profile=True`` additionally records per-static-instruction
         dynamic execution counts.
 
-        Checkpoint-replay (pre-decoded dispatch only): ``checkpoints``
-        is a sorted list of distinct injectable indices; right before
-        the step that allocates each one, ``checkpoint_cb(index,
-        snapshot)`` receives an :class:`IRSnapshot`.  After the last
-        snapshot the run stops early (status OK,
-        ``extra["early_stop"]``).  ``resume_from`` restores a snapshot
-        and executes only the suffix.
+        Checkpoint-replay runs on either snapshot tier (decoded or
+        codegen; naive refuses it): ``checkpoints`` is a sorted list of
+        distinct injectable indices; right before the step that
+        allocates each one, ``checkpoint_cb(index, snapshot)`` receives
+        an :class:`IRSnapshot`.  After the last snapshot the run stops
+        early (status OK, ``extra["early_stop"]``); checkpointing runs
+        on the decoded core whatever the tier.  ``resume_from`` restores
+        a snapshot and executes only the suffix.
         """
-        self.inject_index = inject_index
-        self.inject_bit = inject_bit
-        self._cf_edge = None
-        if profile:
-            self._counts = [0] * (self._iid_bound() + 1)
-        fn = self.module.function(entry)
-        early = False
-        escape = None
-        self._armed = False
-        try:
-            if self.dispatch == "decoded":
-                ret = self._execute_decoded(
-                    fn, list(args), resume_from, checkpoints, checkpoint_cb
-                )
-            elif self.dispatch == "codegen":
-                # snapshots, profiling and trace taps run the decoded
-                # loop (bit-identical; checkpointing must stream decoded
-                # frames anyway) — generated code serves plain runs and
-                # snapshot *resumes*, the hot paths of the engine
-                if (checkpoints is not None or self._counts is not None
-                        or self.tracer is not None):
-                    ret = self._execute_decoded(
-                        fn, list(args), resume_from, checkpoints,
-                        checkpoint_cb
-                    )
-                else:
-                    ret = self._execute_codegen(fn, list(args), resume_from)
-            else:
-                if resume_from is not None or checkpoints is not None:
-                    raise IRError(
-                        "checkpoint-replay requires dispatch='decoded'")
-                ret = self._execute(fn, list(args))
-            status, trap = RunStatus.OK, None
-        except CheckpointsDone:
-            ret, status, trap = None, RunStatus.OK, None
-            early = True
-        except FaultDetected:
-            ret, status, trap = None, RunStatus.DETECTED, None
-        except SimTrap as t:
-            ret, status, trap = None, RunStatus.TRAP, t.kind
-        except Exception as exc:
-            # the containment boundary (DESIGN §11): under an injection,
-            # any host exception escaping a faulty step is a DUE, not a
-            # harness crash.  Golden/uninjected runs re-raise — a host
-            # exception there is a real toolchain bug and must surface.
-            if not (self.contain and self._armed
-                    and inject_index is not None):
-                raise
-            ret, status, trap = None, RunStatus.TRAP, HOST_ESCAPE
-            escape = {"exc_type": type(exc).__name__, "detail": str(exc),
-                      "layer": "ir", "step": self.dyn_total,
-                      "index": self.dyn_injectable}
-        if self.tracer is not None:
-            self.tracer.finish()
-        if self._counts is not None:
-            self.per_inst_counts = {
-                i: c for i, c in enumerate(self._counts) if c
-            }
-        extra: Dict[str, object] = {}
-        if self.tracer is not None:
-            extra["trace"] = self.tracer.trace
-        if early:
-            extra["early_stop"] = True
-        if escape is not None:
-            extra["host_escape"] = escape
-        if self._cf_edge is not None:
-            extra["cf_edge"] = self._cf_edge
-        return ExecResult(
-            status=status,
-            output="".join(self.outputs),
-            dyn_total=self.dyn_total,
-            dyn_injectable=self.dyn_injectable,
-            trap_kind=trap,
-            return_value=ret,
-            injected=self.injected,
-            injected_iid=self.injected_iid,
-            per_inst_counts=self.per_inst_counts,
-            extra=extra,
-        )
+        return self._run((self.module.function(entry), list(args)),
+                         inject_index, inject_bit, profile, resume_from,
+                         checkpoints, checkpoint_cb)
 
-    def _iid_bound(self) -> int:
+    @staticmethod
+    def _tracer_class():
+        from ..trace.tap import IRTracer
+
+        return IRTracer
+
+    def _profile_slots(self) -> int:
         return max(
             (inst.iid for inst in self.module.instructions()), default=0
-        )
+        ) + 1
+
+    def _finish(self, value):
+        if self.tracer is not None:
+            self.tracer.finish()
+        return {"return_value": value,
+                "injected_iid": self.injected_iid}, {}
+
+    def _naive(self, start):
+        return self._execute(*start)
 
     # -- execution core -----------------------------------------------------
 
@@ -480,30 +361,36 @@ class IRInterpreter:
 
     # -- pre-decoded execution core ---------------------------------------
 
-    def _execute_decoded(self, entry_fn: Function,
-                         args: List[Union[int, float]],
-                         resume_from: Optional[IRSnapshot] = None,
-                         checkpoints: Optional[Sequence[int]] = None,
-                         checkpoint_cb=None):
+    def _decoded(self, start, resume_from: Optional[IRSnapshot],
+                 checkpoints: Optional[Sequence[int]], checkpoint_cb):
         if resume_from is None:
             from .decode import decode_module
 
-            if entry_fn.is_declaration:
-                raise IRError(f"cannot execute declaration @{entry_fn.name}")
-            dm = decode_module(self.module, self.layout)
-            stack: List[_Frame] = []
-            frame = self._push_frame(entry_fn, args, None)
-            dfn = dm.functions[entry_fn]
-            frame.block, frame.code = dfn.entry_pair
+            frame, stack = self._enter(
+                start, decode_module(self.module, self.layout).functions)
         else:
             # a resume runs the decoded code its snapshot frames carry,
             # so it skips the module fingerprint walk of decode_module
             frame, stack = self._restore(resume_from)
         self._armed = True
-        if self.fault_model == "cf":
-            return self._run_decoded_cf(frame, stack, checkpoints,
-                                        checkpoint_cb)
-        return self._run_decoded(frame, stack, checkpoints, checkpoint_cb)
+        return self._decoded_loop()(frame, stack, checkpoints,
+                                    checkpoint_cb)
+
+    def _enter(self, start, functions):
+        """``(frame, stack)`` of a fresh run of ``start`` over decoded
+        ``functions``."""
+        entry_fn, args = start
+        if entry_fn.is_declaration:
+            raise IRError(f"cannot execute declaration @{entry_fn.name}")
+        frame = self._push_frame(entry_fn, args, None)
+        frame.block, frame.code = functions[entry_fn].entry_pair
+        return frame, []
+
+    def _decoded_loop(self):
+        """The decoded loop of the fault model: cf faults have their own
+        sibling so the SEU/SET hot path pays nothing for them."""
+        return (self._run_decoded_cf if self.fault_model == "cf"
+                else self._run_decoded)
 
     def _run_decoded(self, frame: _Frame, stack: List[_Frame],
                      watch: Optional[Sequence[int]] = None,
@@ -796,20 +683,13 @@ class IRInterpreter:
 
     # -- codegen execution core -------------------------------------------
 
-    def _execute_codegen(self, entry_fn: Function,
-                         args: List[Union[int, float]],
-                         resume_from: Optional[IRSnapshot] = None):
+    def _codegen(self, start, resume_from: Optional[IRSnapshot]):
         from .codegen import codegen_module
 
         gm = codegen_module(self.module, self.layout, self.fault_model)
         careful = False
         if resume_from is None:
-            if entry_fn.is_declaration:
-                raise IRError(f"cannot execute declaration @{entry_fn.name}")
-            stack: List[_Frame] = []
-            frame = self._push_frame(entry_fn, args, None)
-            dfn = gm.dm.functions[entry_fn]
-            frame.block, frame.code = dfn.entry_pair
+            frame, stack = self._enter(start, gm.dm.functions)
             bbs: List[int] = []
             bb = 0
         else:
@@ -846,15 +726,11 @@ class IRInterpreter:
         stack_limit = self.memory.stack_limit
         max_call_depth = self.max_call_depth
         fns = gm.functions
-        cf_mode = self.fault_model == "cf"
         flip = _set_value if self.fault_model == "set" else _flip_value
-        careful_step = self._careful_step_cf if cf_mode else \
-            self._careful_step
-        decoded_loop = self._run_decoded_cf if cf_mode else \
-            self._run_decoded
+        decoded_loop = self._decoded_loop()
         try:
-            r = careful_step(frame, stack, c,
-                             fns[frame.fn]) if careful else None
+            r = self._careful_step(frame, stack, c,
+                                   fns[frame.fn]) if careful else None
             while True:
                 if r is None:
                     r = fns[frame.fn].run(self, frame, c, bb)
@@ -919,12 +795,16 @@ class IRInterpreter:
                       gf) -> tuple:
         """Execute decoded entries of a mid-chunk frame until the next
         control transfer (which always lands on a chunk boundary),
-        mirroring ``_run_decoded``'s counter and injection semantics.
-        Returns a codegen driver action: ``(1, rv)``, ``(2, ...)`` or
-        ``(3,)`` after positioning ``frame`` at a block start."""
+        mirroring the decoded loops' counter and injection semantics
+        under every fault model: value producers and calls with a
+        result are the sites under SEU/SET, ``br``/``condbr`` (with
+        the redirect) under cf.  Returns a codegen driver action:
+        ``(1, rv)``, ``(2, ...)`` or ``(3,)`` after positioning
+        ``frame`` at a block start."""
         dt, inj, target, inject_bit = c
         max_steps = self.max_steps
         stack_limit = self.memory.stack_limit
+        cf_mode = self.fault_model == "cf"
         flip = _set_value if self.fault_model == "set" else _flip_value
         code = frame.code
         i = frame.index
@@ -939,20 +819,28 @@ class IRInterpreter:
                                   f"exceeded {max_steps} steps")
                 if kind == 0:
                     r = e[1](self, frame)
-                    if inj == target:
-                        r = flip(r, e[3].type, inject_bit)
-                        self.injected = True
-                        self.injected_iid = e[2]
-                    inj += 1
+                    if not cf_mode:
+                        if inj == target:
+                            r = flip(r, e[3].type, inject_bit)
+                            self.injected = True
+                            self.injected_iid = e[2]
+                        inj += 1
                     frame.temps[e[2]] = r
-                elif kind == 5:
-                    frame.block, frame.code = e[1]
-                    frame.index = 0
-                    return (3,)
-                elif kind == 6:
-                    p = e[1]
-                    frame.block, frame.code = \
-                        p[1] if p[0](self, frame) else p[2]
+                elif kind == 5 or kind == 6:
+                    if kind == 5:
+                        pair = e[1]
+                    else:
+                        p = e[1]
+                        pair = p[1] if p[0](self, frame) else p[2]
+                    if cf_mode:
+                        if inj == target:
+                            pairs = e[4]
+                            normal = pair
+                            pair = pairs[inject_bit % len(pairs)]
+                            self._note_cf_edge(frame, e[3], normal[0],
+                                               pair[0])
+                        inj += 1
+                    frame.block, frame.code = pair
                     frame.index = 0
                     return (3,)
                 elif kind == 2:
@@ -973,7 +861,7 @@ class IRInterpreter:
                     p = e[1]
                     call_args = p[0](self, frame)
                     flip_bit = None
-                    if kind == 1:
+                    if kind == 1 and not cf_mode:
                         if inj == target:
                             flip_bit = inject_bit
                             self.injected_iid = e[2]
@@ -981,84 +869,6 @@ class IRInterpreter:
                     frame.index = i
                     return (2, p[1], call_args,
                             e[2] if kind == 1 else None, flip_bit,
-                            gf.entry_bb[(frame.block, i)])
-        except IndexError:
-            raise IRError(
-                f"fell off block {frame.block.label} in @{frame.fn.name}"
-            ) from None
-        except KeyError as k:
-            raise IRError(
-                f"use of unevaluated %t{k.args[0]} in @{frame.fn.name}"
-            ) from None
-        finally:
-            c[0] = dt
-            c[1] = inj
-
-    def _careful_step_cf(self, frame: _Frame, stack: List[_Frame], c,
-                         gf) -> tuple:
-        """Control-flow-model sibling of :meth:`_careful_step`:
-        br/condbr are the injection sites (with redirect), value
-        producers and calls allocate no indices."""
-        dt, inj, target, inject_bit = c
-        max_steps = self.max_steps
-        stack_limit = self.memory.stack_limit
-        code = frame.code
-        i = frame.index
-        try:
-            while True:
-                e = code[i]
-                kind = e[0]
-                i += 1
-                dt += 1
-                if dt > max_steps:
-                    raise SimTrap("step-budget",
-                                  f"exceeded {max_steps} steps")
-                if kind == 0:
-                    frame.temps[e[2]] = e[1](self, frame)
-                elif kind == 5:
-                    if inj == target:
-                        pairs = e[4]
-                        pair = pairs[inject_bit % len(pairs)]
-                        self._note_cf_edge(frame, e[3], e[1][0], pair[0])
-                        frame.block, frame.code = pair
-                    else:
-                        frame.block, frame.code = e[1]
-                    inj += 1
-                    frame.index = 0
-                    return (3,)
-                elif kind == 6:
-                    p = e[1]
-                    normal = p[1] if p[0](self, frame) else p[2]
-                    if inj == target:
-                        pairs = e[4]
-                        pair = pairs[inject_bit % len(pairs)]
-                        self._note_cf_edge(frame, e[3], normal[0], pair[0])
-                        frame.block, frame.code = pair
-                    else:
-                        frame.block, frame.code = normal
-                    inj += 1
-                    frame.index = 0
-                    return (3,)
-                elif kind == 2:
-                    e[1](self, frame)
-                elif kind == 4:
-                    p = e[1]
-                    rv = p(self, frame) if p is not None else None
-                    frame.index = i
-                    return (1, rv)
-                elif kind == 7:
-                    sp = (self.sp - e[1]) & ~7
-                    self.sp = sp
-                    if sp < stack_limit:
-                        raise SimTrap("stack-overflow",
-                                      f"@{frame.fn.name}")
-                    frame.temps[e[2]] = sp
-                else:               # call (kind 1 with result, 3 void)
-                    p = e[1]
-                    call_args = p[0](self, frame)
-                    frame.index = i
-                    return (2, p[1], call_args,
-                            e[2] if kind == 1 else None, None,
                             gf.entry_bb[(frame.block, i)])
         except IndexError:
             raise IRError(
@@ -1090,17 +900,9 @@ class IRInterpreter:
     def _restore(self, snap: IRSnapshot):
         """Reset the complete run state to ``snap`` (one interpreter may
         serve many replays); returns the resumed ``(frame, stack)``."""
-        mem = self.memory
-        if snap.mem.size != mem.size:
-            raise IRError("snapshot does not match interpreter memory "
-                          "geometry")
-        mem.restore(snap.mem)
-        self.sp = snap.sp
-        self.outputs[:] = snap.outputs
-        self.dyn_total = snap.dyn_total
-        self.dyn_injectable = snap.dyn_injectable
-        self.injected = False
+        self._resume(snap)
         self.injected_iid = None
+        self.sp = snap.sp
         frames = [
             _Frame(fn=f, block=b, index=i, temps=dict(t), sp_save=s,
                    ret_target=rt, arg_values=list(av), ret_flip_bit=rf,

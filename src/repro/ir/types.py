@@ -15,7 +15,7 @@ object, so identity comparison (``is``) equals structural equality.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import IRTypeError
 
@@ -219,14 +219,3 @@ def function_type(
         cached = FunctionType(ret, params, variadic)
         _FN_CACHE[key] = cached
     return cached
-
-
-def types_equal(a: Type, b: Type) -> bool:
-    """Structural equality; identical to ``is`` thanks to interning, but
-    provided for readability at call sites."""
-    return a is b
-
-
-def common_scalar(a: Type, b: Type) -> Optional[Type]:
-    """The common type of two scalars if they are identical, else None."""
-    return a if a is b else None

@@ -34,7 +34,7 @@ wrapper's ``except`` arms repair the counters from
 same ``SimTrap("overflow", "pc=...")`` the other tiers raise.
 
 The generated function returns action tuples to the driver loop in
-:meth:`AsmMachine._loop_codegen`:
+:meth:`AsmMachine._codegen`:
 
 ``(0, pc)``  step budget could be hit inside the next chunk — the
              driver finishes the run on the decoded core, which owns
@@ -788,22 +788,15 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
     """Single-step decoded closures from a non-leader ``pc`` (reachable
     only via a corrupted return address) until execution re-joins a
     leader; mirrors the decoded driver loop exactly, including the
-    flip hooks and counter placement at every raise point."""
+    fault it applies (:meth:`AsmMachine._apply_fault`) and counter
+    placement at every raise point."""
     fns = dp.fns
-    fm = mc.fault_model
-    cf_fault = fm == "cf"
-    set_fault = fm == "set"
-    inj_kind = dp.program.cf_kind if cf_fault else dp.program.inj_kind
-    n_insts = len(dp.program.uops)
-    gpr_dest = dp.gpr_dest
-    xmm_dest = dp.xmm_dest
-    regs = st.regs
-    xmm = st.xmm
+    inj_kind = (dp.program.cf_kind if mc.fault_model == "cf"
+                else dp.program.inj_kind)
     max_steps = mc.max_steps
     steps = c[0]
     injectable = c[1]
     target = c[2]
-    inject_bit = c[3]
     try:
         while True:
             if pc in leaders:
@@ -825,29 +818,7 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
             if kind:
                 if injectable == target:
                     mc.injected = True
-                    mc.injected_index = cur
-                    if cf_fault:
-                        red = inject_bit % n_insts
-                        mc._record_cf_edge(cur, pc, red)
-                        pc = red
-                    elif kind == 1:
-                        if set_fault:
-                            regs[gpr_dest[cur]] ^= (
-                                (1 << (inject_bit & 63))
-                                | (1 << ((inject_bit + 1) & 63)))
-                            st.fl ^= (1, 2, 4, 8, 16)[inject_bit % 5]
-                        else:
-                            regs[gpr_dest[cur]] ^= 1 << (inject_bit & 63)
-                    elif kind == 2:
-                        d = xmm_dest[cur]
-                        mask = 1 << (inject_bit & 63)
-                        if set_fault:
-                            mask |= 1 << ((inject_bit + 1) & 63)
-                        xmm[d] = _machine._b2f(_machine._f2b(xmm[d]) ^ mask)
-                    else:
-                        st.fl ^= (1, 2, 4, 8, 16)[inject_bit % 5]
-                        if set_fault:
-                            st.fl ^= (1, 2, 4, 8, 16)[(inject_bit + 1) % 5]
+                    pc = mc._apply_fault(st, dp, cur, pc, kind)
                 injectable += 1
     finally:
         c[0] = steps

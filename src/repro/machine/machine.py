@@ -31,24 +31,14 @@ Fault models (PIN-style, matching §4.3; see :mod:`repro.faultmodel`):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..contain import (
-    DEFAULT_MAX_CALL_DEPTH,
-    DEFAULT_MEM_BUDGET,
-    DEFAULT_OUTPUT_BUDGET,
-    HOST_ESCAPE,
-    OutputBuffer,
-    containment_enabled,
-)
-from ..errors import (
-    CheckpointsDone, FaultDetected, LoweringError, ReproError, SimTrap,
-)
-from ..execresult import ExecResult, RunStatus
-from ..faultmodel import validate_fault_model
+from ..errors import CheckpointsDone, FaultDetected, LoweringError, SimTrap
+from ..execresult import ExecResult
 from ..interp.layout import GlobalLayout
 from ..ir.intrinsics import INTRINSICS, math_impl
-from ..memorymodel import Memory, MemoryImage
+from ..memorymodel import MemoryImage
+from ..simulator import Simulator, Snapshot
 from ..utils.fmt import format_char, format_f64, format_i64
 from ..backend.isa import AsmInst, GPRS, Imm, Label, Mem, Reg
 from ..backend.program import FlatProgram
@@ -332,37 +322,36 @@ def _b2f(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", bits & _MASK64))[0]
 
 
-class AsmSnapshot:
-    """Frozen machine state captured at an injection-site boundary.
+class AsmSnapshot(Snapshot):
+    """Frozen machine state captured at an injection-site boundary (see
+    :class:`Snapshot`): the shared fields plus registers, flags,
+    program counter and call depth.
 
     Snapshots are taken *before* the watched instruction executes (the
     fault model flips the destination *after* execution, so a replay
     resumed from the snapshot re-executes the instruction and then
-    applies the flip).  ``mem`` is a
-    :class:`~repro.memorymodel.MemoryImage` of the written extents
-    only, so capture and restore cost O(bytes written).  All fields are
-    immutable so one snapshot can seed any number of replays.
+    applies the flip).
     """
 
-    __slots__ = ("mem", "regs", "xmm", "fl", "pc", "steps", "injectable",
-                 "outputs", "depth")
+    __slots__ = ("regs", "xmm", "fl", "pc", "depth")
 
     def __init__(self, mem: MemoryImage, regs: tuple, xmm: tuple, fl: int,
-                 pc: int, steps: int, injectable: int, outputs: tuple,
-                 depth: int = 0):
-        self.mem = mem
+                 pc: int, dyn_total: int, dyn_injectable: int,
+                 outputs: tuple, depth: int = 0):
+        super().__init__(mem, outputs, dyn_total, dyn_injectable)
         self.regs = regs
         self.xmm = xmm
         self.fl = fl
         self.pc = pc
-        self.steps = steps
-        self.injectable = injectable
-        self.outputs = outputs
         self.depth = depth
 
 
-class AsmMachine:
-    """One machine instance per execution (mutable run state)."""
+class AsmMachine(Simulator):
+    """One machine instance per execution (mutable run state); the run
+    contract, ``run()`` included, lives in
+    :class:`~repro.simulator.Simulator`."""
+
+    layer = "asm"
 
     def __init__(
         self,
@@ -379,143 +368,33 @@ class AsmMachine:
         mem_budget: Optional[int] = None,
         fault_model: Optional[str] = None,
     ):
-        if dispatch not in ("decoded", "naive", "codegen"):
-            raise ReproError(f"unknown dispatch mode {dispatch!r}")
-        self.dispatch = dispatch
-        self.fault_model = validate_fault_model(fault_model)
         self.program = program
-        self.layout = layout
-        self.max_steps = max_steps
-        # fault containment (DESIGN §11): resource budgets + host-escape
-        # boundary, identical in both dispatch modes
-        self.contain = containment_enabled(contain)
-        if self.contain:
-            self.max_call_depth = (max_call_depth if max_call_depth
-                                   is not None else DEFAULT_MAX_CALL_DEPTH)
-            if mem_budget is None:
-                mem_budget = DEFAULT_MEM_BUDGET
-            outputs: List[str] = OutputBuffer(
-                output_budget if output_budget is not None
-                else DEFAULT_OUTPUT_BUDGET)
-        else:
-            self.max_call_depth = 1 << 62
-            mem_budget = None
-            outputs = []
-        self._armed = False
-        self.memory: Memory = layout.make_memory(
-            heap_size, stack_size, mem_budget=mem_budget)
-        self.outputs = outputs
-        self.dyn_total = 0
-        self.dyn_injectable = 0
-        self.injected = False
+        super().__init__(layout, max_steps, heap_size, stack_size, trace,
+                         dispatch, contain, max_call_depth, output_budget,
+                         mem_budget, fault_model)
         self.injected_index: Optional[int] = None  # static asm index
-        self._cf_edge: Optional[Dict[str, object]] = None
-        self.per_inst_counts: Optional[Dict[int, int]] = None
-        self._counts: Optional[List[int]] = None
-        # trace tap (off by default; see repro.trace) — accepts a
-        # TraceConfig or a ready MachineTracer
-        self.tracer = None
-        if trace is not None:
-            from ..trace.tap import MachineTracer
 
-            tracer = (
-                trace if isinstance(trace, MachineTracer)
-                else MachineTracer(trace)
-            )
-            tracer.attach(self)
-            self.tracer = tracer
+    @staticmethod
+    def _tracer_class():
+        from ..trace.tap import MachineTracer
 
-    def run(
-        self,
-        inject_index: Optional[int] = None,
-        inject_bit: int = 0,
-        profile: bool = False,
-        resume_from: Optional[AsmSnapshot] = None,
-        checkpoints: Optional[Sequence[int]] = None,
-        checkpoint_cb=None,
-    ) -> ExecResult:
-        if profile:
-            self._counts = [0] * len(self.program.uops)
-        early = False
-        escape = None
-        self._armed = False
-        self._cf_edge = None
-        try:
-            if self.dispatch == "decoded":
-                self._loop_decoded(inject_index, inject_bit,
-                                   resume_from, checkpoints, checkpoint_cb)
-            elif self.dispatch == "codegen":
-                # the generated fast path has no per-step tap points;
-                # snapshot streaming, profiling and tracing fall back to
-                # the (bit-identical) decoded core
-                if (checkpoints is not None or self._counts is not None
-                        or self.tracer is not None):
-                    self._loop_decoded(inject_index, inject_bit,
-                                       resume_from, checkpoints,
-                                       checkpoint_cb)
-                else:
-                    self._loop_codegen(inject_index, inject_bit,
-                                       resume_from)
-            else:
-                if resume_from is not None or checkpoints is not None:
-                    raise ReproError(
-                        "checkpoint-replay requires dispatch='decoded'")
-                self._loop(inject_index, inject_bit)
-            status, trap = RunStatus.OK, None
-        except CheckpointsDone:
-            status, trap = RunStatus.OK, None
-            early = True
-        except FaultDetected:
-            status, trap = RunStatus.DETECTED, None
-        except SimTrap as t:
-            status, trap = RunStatus.TRAP, t.kind
-        except Exception as exc:
-            # the containment boundary (DESIGN §11): under an injection,
-            # any host exception escaping a faulty step is a DUE, not a
-            # harness crash.  Golden/uninjected runs re-raise — a host
-            # exception there is a real toolchain bug and must surface.
-            if not (self.contain and self._armed
-                    and inject_index is not None):
-                raise
-            status, trap = RunStatus.TRAP, HOST_ESCAPE
-            escape = {"exc_type": type(exc).__name__, "detail": str(exc),
-                      "layer": "asm", "step": self.dyn_total,
-                      "index": self.dyn_injectable}
-        if self._counts is not None:
-            self.per_inst_counts = {
-                i: c for i, c in enumerate(self._counts) if c
-            }
-        inst = (
-            self.program.inst_at(self.injected_index)
-            if self.injected_index is not None
-            else None
-        )
-        extra: Dict[str, object] = {}
-        if inst is not None:
-            extra.update(
-                asm_index=self.injected_index,
-                asm_role=inst.role,
-                asm_opcode=inst.opcode,
-            )
-        if self.tracer is not None:
-            extra["trace"] = self.tracer.trace
-        if self._cf_edge is not None:
-            extra["cf_edge"] = self._cf_edge
-        if early:
-            extra["early_stop"] = True
-        if escape is not None:
-            extra["host_escape"] = escape
-        return ExecResult(
-            status=status,
-            output="".join(self.outputs),
-            dyn_total=self.dyn_total,
-            dyn_injectable=self.dyn_injectable,
-            trap_kind=trap,
-            injected=self.injected,
-            injected_iid=inst.prov_iid if inst is not None else None,
-            per_inst_counts=self.per_inst_counts,
-            extra=extra,
-        )
+        return MachineTracer
+
+    def _profile_slots(self) -> int:
+        return len(self.program.uops)
+
+    def _finish(self, value):
+        if self.injected_index is None:
+            return {"injected_iid": None}, {}
+        inst = self.program.inst_at(self.injected_index)
+        return {"injected_iid": inst.prov_iid}, {
+            "asm_index": self.injected_index,
+            "asm_role": inst.role,
+            "asm_opcode": inst.opcode,
+        }
+
+    def _naive(self, start) -> None:
+        self._loop(self.inject_index, self.inject_bit)
 
     # -- the hot loop -------------------------------------------------------
 
@@ -879,24 +758,15 @@ class AsmMachine:
 
     # -- the decoded hot loop -----------------------------------------------
 
-    def _loop_decoded(
-        self,
-        inject_index: Optional[int],
-        inject_bit: int,
-        resume_from: Optional[AsmSnapshot] = None,
-        watch: Optional[Sequence[int]] = None,
-        watch_cb=None,
-    ) -> None:
+    def _decoded(self, start, resume_from: Optional[AsmSnapshot],
+                 watch: Optional[Sequence[int]], watch_cb) -> None:
         """Closure-dispatch twin of :meth:`_loop`.
 
         Identical observable behaviour; additionally supports resuming
         from an :class:`AsmSnapshot` and streaming snapshots out at the
         requested ``watch`` injection indices (ascending order).
         """
-        st, pc, steps, injectable = self._start(resume_from)
-        self.injected = False
-        self._decoded_core(st, pc, steps, injectable,
-                           inject_index, inject_bit, watch, watch_cb)
+        self._decoded_core(*self._start(resume_from), watch, watch_cb)
 
     def _decoded_core(
         self,
@@ -904,14 +774,12 @@ class AsmMachine:
         pc: int,
         steps: int,
         injectable: int,
-        inject_index: Optional[int],
-        inject_bit: int,
         watch: Optional[Sequence[int]] = None,
         watch_cb=None,
     ) -> None:
         """The decoded driver loop proper, entered with live counters.
 
-        Split out from :meth:`_loop_decoded` so the codegen tier can
+        Split out from :meth:`_decoded` so the codegen tier can
         hand over mid-run (step budget nearly exhausted) with exact
         ``steps``/``injectable`` values.  Reads ``self.injected`` as the
         starting flip state: a hand-over after the flip has been applied
@@ -923,13 +791,8 @@ class AsmMachine:
         mem = self.memory
         dp = decode_program(prog, mem)
         fns = dp.fns
-        fm = self.fault_model
-        cf_fault = fm == "cf"
-        set_fault = fm == "set"
-        inj_kind = prog.cf_kind if cf_fault else prog.inj_kind
-        n_insts = len(prog.uops)
-        gpr_dest = dp.gpr_dest
-        xmm_dest = dp.xmm_dest
+        inj_kind = (prog.cf_kind if self.fault_model == "cf"
+                    else prog.inj_kind)
         regs = st.regs
         xmm = st.xmm
 
@@ -943,7 +806,7 @@ class AsmMachine:
         hook = tracer.hook if tracer is not None else None
         track = counts is not None or hook is not None
 
-        target = inject_index if inject_index is not None else -1
+        target = self.inject_index if self.inject_index is not None else -1
         injected = self.injected
         self._armed = True
 
@@ -986,30 +849,7 @@ class AsmMachine:
                 if kind:
                     if injectable == target:
                         injected = True
-                        self.injected_index = cur
-                        if cf_fault:
-                            red = inject_bit % n_insts
-                            self._record_cf_edge(cur, pc, red)
-                            pc = red
-                        elif kind == 1:
-                            if set_fault:
-                                regs[gpr_dest[cur]] ^= (
-                                    (1 << (inject_bit & 63))
-                                    | (1 << ((inject_bit + 1) & 63)))
-                                st.fl ^= (1, 2, 4, 8, 16)[inject_bit % 5]
-                            else:
-                                regs[gpr_dest[cur]] ^= 1 << (inject_bit & 63)
-                        elif kind == 2:
-                            d = xmm_dest[cur]
-                            mask = 1 << (inject_bit & 63)
-                            if set_fault:
-                                mask |= 1 << ((inject_bit + 1) & 63)
-                            xmm[d] = _b2f(_f2b(xmm[d]) ^ mask)
-                        else:  # flags
-                            st.fl ^= (1, 2, 4, 8, 16)[inject_bit % 5]
-                            if set_fault:
-                                st.fl ^= (1, 2, 4, 8, 16)[
-                                    (inject_bit + 1) % 5]
+                        pc = self._apply_fault(st, dp, cur, pc, kind)
                     injectable += 1
         finally:
             self.dyn_total = steps
@@ -1018,13 +858,8 @@ class AsmMachine:
             if tracer is not None:
                 tracer.finish(regs, xmm)
 
-    def _loop_codegen(
-        self,
-        inject_index: Optional[int],
-        inject_bit: int,
-        resume_from: Optional[AsmSnapshot] = None,
-    ) -> None:
-        """Generated-code twin of :meth:`_loop_decoded` (DESIGN §13).
+    def _codegen(self, start, resume_from: Optional[AsmSnapshot]) -> None:
+        """Generated-code twin of :meth:`_decoded` (DESIGN §13).
 
         Drives the specialized executor chunk to chunk; drops to the
         decoded single-stepper when a corrupted return address leaves
@@ -1040,12 +875,11 @@ class AsmMachine:
         dp = decode_program(prog, mem)
         st, pc, steps, injectable = self._start(resume_from)
 
-        target = inject_index if inject_index is not None else -1
-        self.injected = False
+        target = self.inject_index if self.inject_index is not None else -1
         self._armed = True
         # counter carrier shared with the generated code and the
         # careful stepper: [steps, injectable, target, bit]
-        c = [steps, injectable, target, inject_bit]
+        c = [steps, injectable, target, self.inject_bit]
         run = cp.run
         leaders = cp.leaders
         try:
@@ -1068,8 +902,7 @@ class AsmMachine:
                     # budget hand-over: the decoded core owns the
                     # exact step-budget raise point
                     try:
-                        self._decoded_core(st, r[1], c[0], c[1],
-                                           inject_index, inject_bit)
+                        self._decoded_core(st, r[1], c[0], c[1])
                     finally:
                         c[0] = self.dyn_total
                         c[1] = self.dyn_injectable
@@ -1084,6 +917,7 @@ class AsmMachine:
         replays).  Returns ``(st, pc, steps, injectable)``."""
         from .decode import AsmState
 
+        self.injected = False
         mem = self.memory
         st = AsmState()
         st.data = mem.data
@@ -1104,17 +938,49 @@ class AsmMachine:
             st.depth = 0
             return st, self.program.entry_index, 0, 0
         snap = resume_from
-        if snap.mem.size != mem.size:
-            raise ReproError(
-                "snapshot does not match machine memory geometry")
-        mem.restore(snap.mem)
+        self._resume(snap)
+        self.injected_index = None
         st.regs = list(snap.regs)
         st.xmm = list(snap.xmm)
         st.fl = snap.fl
         st.depth = snap.depth
-        self.outputs[:] = snap.outputs
-        self.injected_index = None
-        return st, snap.pc, snap.steps, snap.injectable
+        return st, snap.pc, snap.dyn_total, snap.dyn_injectable
+
+    def _apply_fault(self, st, dp, cur: int, pc: int, kind: int) -> int:
+        """Apply the drawn fault at site ``cur``, whose uop just ran and
+        would continue at ``pc``: redirect the transfer (cf), or flip
+        its GPR/XMM/FLAGS destination (SEU; SET adds the adjacent bit,
+        and a FLAGS bit for GPR writers).  Shared by the decoded core
+        and the codegen tier's careful stepper; runs once per run.
+        Returns the pc execution continues at."""
+        self.injected_index = cur
+        bit = self.inject_bit
+        fm = self.fault_model
+        if fm == "cf":
+            red = bit % len(self.program.uops)
+            self._record_cf_edge(cur, pc, red)
+            return red
+        set_fault = fm == "set"
+        if kind == 1:
+            regs = st.regs
+            if set_fault:
+                regs[dp.gpr_dest[cur]] ^= (
+                    (1 << (bit & 63)) | (1 << ((bit + 1) & 63)))
+                st.fl ^= (1, 2, 4, 8, 16)[bit % 5]
+            else:
+                regs[dp.gpr_dest[cur]] ^= 1 << (bit & 63)
+        elif kind == 2:
+            xmm = st.xmm
+            d = dp.xmm_dest[cur]
+            mask = 1 << (bit & 63)
+            if set_fault:
+                mask |= 1 << ((bit + 1) & 63)
+            xmm[d] = _b2f(_f2b(xmm[d]) ^ mask)
+        else:  # flags
+            st.fl ^= (1, 2, 4, 8, 16)[bit % 5]
+            if set_fault:
+                st.fl ^= (1, 2, 4, 8, 16)[(bit + 1) % 5]
+        return pc
 
     def _gpr_dest(self, index: int) -> int:
         inst = self.program.inst_at(index)

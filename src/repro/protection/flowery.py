@@ -25,7 +25,7 @@ paper describes, and are driven by the duplication metadata:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict
 
 from ..errors import IRError
 from ..ir import types as T
@@ -251,13 +251,6 @@ def anti_comparison_duplication(module: Module, info: DuplicationInfo) -> int:
         fn.blocks.insert(pos + 2, skip_block)
         count += 1
     return count
-
-
-def _find_inst(module: Module, iid: int) -> Optional[Instruction]:
-    for inst in module.instructions():
-        if inst.iid == iid:
-            return inst
-    return None
 
 
 # -- orchestration ---------------------------------------------------------------

@@ -9,7 +9,9 @@ x total duplicable dynamic count.
 
 Benefits come from an IR-level fault-injection *profiling* campaign on
 the unprotected program (:class:`SdcProfile`), the standard methodology
-of the instruction-duplication literature the paper follows.
+of the instruction-duplication literature the paper follows.  It is an
+ordinary IR campaign (:func:`repro.fi.campaign.run_ir_campaign`, on the
+checkpoint-replay engine unless ``REPRO_ENGINE=0``).
 
 Two solvers are provided: the greedy benefit/cost heuristic used in
 practice (near-optimal for this problem shape) and an exact dynamic
@@ -26,14 +28,14 @@ import numpy as np
 
 from ..errors import PlanError
 from ..execresult import RunStatus
+from ..interp.decode import _fingerprint
 from ..interp.interpreter import IRInterpreter
 from ..interp.layout import GlobalLayout
 from ..ir.module import Module
 from .duplication import duplicable_instructions
 
 __all__ = ["SdcProfile", "ProtectionPlan", "profile_module", "plan_protection",
-           "knapsack_greedy", "knapsack_exact", "validate_plan",
-           "evaluate_protection"]
+           "knapsack_greedy", "knapsack_exact", "validate_plan"]
 
 PROTECTION_LEVELS = (30, 50, 70, 100)
 
@@ -80,23 +82,10 @@ _GOLDEN_CACHE: "weakref.WeakKeyDictionary[Module, Tuple]" = \
     weakref.WeakKeyDictionary()
 
 
-def _module_fingerprint(module: Module) -> Tuple[int, int]:
-    """Cheap structural identity (decode-cache style): instruction
-    count plus an order-insensitive hash of object ids, so in-place
-    pass mutation invalidates the cached golden run."""
-    n = 0
-    h = 0
-    for fn in module.functions.values():
-        for block in fn.blocks:
-            for inst in block.instructions:
-                n += 1
-                h ^= id(inst) ^ (inst.iid * 0x9E3779B1)
-    return n, h
-
-
 def _golden_profile(module: Module, layout: GlobalLayout):
-    """One profiled golden execution per (module, structure) pair."""
-    fp = _module_fingerprint(module)
+    """One profiled golden execution per (module, structure) pair; the
+    decode caches' fingerprint invalidates it on in-place mutation."""
+    fp = _fingerprint(module)
     cached = _GOLDEN_CACHE.get(module)
     if cached is not None and cached[0] == fp:
         return cached[1]
@@ -118,34 +107,34 @@ def profile_module(
 ) -> SdcProfile:
     """IR-level fault-injection profiling of an unprotected module.
 
-    Runs one golden profiling execution, then ``n_campaigns`` single-
-    bit-flip campaigns, attributing each SDC to the static instruction
-    that received the fault.
+    One profiled golden execution (cached per module structure) gives
+    the dynamic counts; an SEU campaign of ``n_campaigns`` single-bit
+    flips at the IR layer gives the SDCs, each attributed to the static
+    instruction that received the fault.  Its step budget keeps the
+    planner's floor of 10,000 steps, below the campaign default.
     """
+    # imported here, not at module level: repro.pipeline imports this
+    # module, and the fi package must stay free to import the pipeline
+    from ..fi.campaign import CampaignConfig, run_ir_campaign
+
     layout = layout or GlobalLayout(module)
     golden = _golden_profile(module, layout)
-    max_steps = max(10_000, golden.dyn_total * max_steps_factor)
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(0, golden.dyn_injectable, size=n_campaigns)
-    bits = rng.integers(0, 64, size=n_campaigns)
-
+    campaign = run_ir_campaign(
+        module,
+        CampaignConfig(n_campaigns=n_campaigns, seed=seed,
+                       max_steps_factor=max_steps_factor,
+                       min_max_steps=10_000),
+        layout)
+    sdcs = campaign.sdc_records()
     sdc_counts: Dict[int, int] = {}
-    sdc_total = 0
-    for idx, bit in zip(indices.tolist(), bits.tolist()):
-        res = IRInterpreter(module, layout=layout, max_steps=max_steps).run(
-            inject_index=idx, inject_bit=bit
-        )
-        if res.status is RunStatus.OK and res.output != golden.output:
-            sdc_total += 1
-            if res.injected_iid is not None:
-                sdc_counts[res.injected_iid] = (
-                    sdc_counts.get(res.injected_iid, 0) + 1
-                )
+    for rec in sdcs:
+        if rec.iid is not None:
+            sdc_counts[rec.iid] = sdc_counts.get(rec.iid, 0) + 1
     return SdcProfile(
         dyn_counts=dict(golden.per_inst_counts or {}),
         sdc_counts=sdc_counts,
         campaigns=n_campaigns,
-        sdc_total=sdc_total,
+        sdc_total=len(sdcs),
         golden_output=golden.output,
         golden_dyn_total=golden.dyn_total,
         golden_dyn_injectable=golden.dyn_injectable,
@@ -288,33 +277,3 @@ def plan_protection(
         raise PlanError(f"unknown solver {solver!r}")
     spent = sum(c for iid, _, c in items if iid in selected)
     return ProtectionPlan(level, selected, budget, spent, total_cost)
-
-
-def evaluate_protection(
-    built,
-    store,
-    config=None,
-    *,
-    layer: str = "ir",
-    fault_model: Optional[str] = None,
-    dispatch: Optional[str] = None,
-):
-    """Estimate a built (possibly protected) program's outcome rates by
-    section-profile lookup + composition.
-
-    This is how a planner sweep over protection levels becomes
-    near-free: each candidate level rebuilds the program, but functions
-    whose protected code is unchanged between candidates hash to the
-    same section keys, so only genuinely new sections are simulated —
-    the rest is a :class:`~repro.fi.compose.SectionProfileStore` lookup
-    followed by the weighted composition.  Returns the
-    :class:`~repro.fi.compose.ComposedResult`; call ``.summary()`` for
-    rates with confidence intervals.
-    """
-    from ..fi.campaign import CampaignConfig
-    from ..fi.compose import run_incremental_campaign
-
-    return run_incremental_campaign(
-        built, layer, config or CampaignConfig(), store,
-        fault_model=fault_model, dispatch=dispatch,
-    )

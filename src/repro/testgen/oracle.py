@@ -39,6 +39,7 @@ from ..machine.machine import AsmMachine, compile_program
 from ..protection.cfc import apply_cfc
 from ..protection.duplication import duplicable_instructions, duplicate_module
 from ..protection.flowery import apply_flowery
+from ..simulator import TIERS
 
 __all__ = [
     "ORACLE_VARIANTS",
@@ -62,7 +63,7 @@ class OracleConfig:
 
     variants: Tuple[str, ...] = ORACLE_VARIANTS
     layers: Tuple[str, ...] = ("ir", "asm")
-    dispatches: Tuple[str, ...] = ("naive", "decoded", "codegen")
+    dispatches: Tuple[str, ...] = TIERS
     #: seed for the partial-selection subsets (per-variant derived)
     selection_seed: int = 0
     #: step budget = max(floor, unprotected dyn_total x factor)

@@ -157,10 +157,6 @@ def _asm_site(compiled, ev: Optional[SyncEvent]) -> Optional[str]:
     return f"{str(inst).strip()}  [role={inst.role}, pc={ev.loc}]"
 
 
-def _budget(golden_total: int, factor: int = 4, floor: int = 20_000) -> int:
-    return max(floor, golden_total * factor)
-
-
 def run_lockstep(
     module,
     layout,
@@ -175,63 +171,44 @@ def run_lockstep(
 
     ``inject_layer`` ('ir' | 'asm' | None) selects which layer, if
     any, receives the single fault at injectable dynamic site
-    ``inject_index`` under ``fault_model``.  For control-flow faults
-    the report also names the corrupted edge (the branch site, its
-    intended target, and where the fault redirected it).  The report
-    also exposes the two traces as ``report.trace_a`` /
-    ``report.trace_b``.
+    ``inject_index`` under ``fault_model``, with the campaign step
+    budget (:meth:`~repro.fi.campaign.CampaignConfig.max_steps`).  For
+    control-flow faults the report also names the corrupted edge (the
+    branch site, its intended target, and where the fault redirected
+    it).  The report also exposes the two traces as ``report.trace_a``
+    / ``report.trace_b``.
     """
     from ..faultmodel import validate_fault_model
-    from ..interp.interpreter import IRInterpreter
-    from ..machine.machine import AsmMachine
+    from ..fi.campaign import CampaignConfig, _Layer
 
     if inject_layer not in (None, "ir", "asm"):
         raise ValueError(f"inject_layer must be 'ir' or 'asm', "
                          f"got {inject_layer!r}")
     fm = validate_fault_model(fault_model)
     cfg = config or TraceConfig()
-
-    ir_kwargs = {}
-    asm_kwargs = {}
-    if inject_layer == "ir" and inject_index is not None:
-        ir_kwargs = {"inject_index": inject_index,
-                     "inject_bit": inject_bit}
-    elif inject_layer == "asm" and inject_index is not None:
-        asm_kwargs = {"inject_index": inject_index,
-                      "inject_bit": inject_bit}
-
-    ir_tracer = IRTracer(cfg)
-    if ir_kwargs:
-        golden = IRInterpreter(module, layout=layout).run()
-        ir_res = IRInterpreter(
-            module, layout=layout, max_steps=_budget(golden.dyn_total),
-            trace=ir_tracer, fault_model=fm,
-        ).run(**ir_kwargs)
-    else:
-        ir_res = IRInterpreter(module, layout=layout,
-                               trace=ir_tracer).run()
-
-    asm_tracer = MachineTracer(cfg, module=module)
-    if asm_kwargs:
-        golden = AsmMachine(compiled, layout).run()
-        asm_res = AsmMachine(
-            compiled, layout, max_steps=_budget(golden.dyn_total),
-            trace=asm_tracer, fault_model=fm,
-        ).run(**asm_kwargs)
-    else:
-        asm_res = AsmMachine(compiled, layout,
-                             trace=asm_tracer).run()
-
-    report = diff_traces(ir_tracer.trace, asm_tracer.trace,
-                         ir_res, asm_res, module=module,
+    tracers = {"ir": IRTracer(cfg),
+               "asm": MachineTracer(cfg, module=module)}
+    results = {}
+    for name, tracer in tracers.items():
+        adapter = _Layer(name, module=module, layout=layout,
+                         program=compiled, fault_model=fm)
+        if name == inject_layer and inject_index is not None:
+            golden = adapter.simulator("decoded").run()
+            results[name] = adapter.simulator(
+                "decoded", CampaignConfig().max_steps(golden.dyn_total),
+                trace=tracer,
+            ).run(inject_index=inject_index, inject_bit=inject_bit)
+        else:
+            results[name] = adapter.simulator("decoded", trace=tracer).run()
+    report = diff_traces(tracers["ir"].trace, tracers["asm"].trace,
+                         results["ir"], results["asm"], module=module,
                          compiled=compiled)
     report.inject_layer = inject_layer
     report.inject_index = inject_index if inject_layer else None
     report.inject_bit = inject_bit if inject_layer else 0
     report.fault_model = fm
     if inject_layer is not None:
-        inj_res = ir_res if inject_layer == "ir" else asm_res
-        edge = inj_res.extra.get("cf_edge")
+        edge = results[inject_layer].extra.get("cf_edge")
         if isinstance(edge, dict):
             report.cf_edge = edge
     return report

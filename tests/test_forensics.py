@@ -8,7 +8,11 @@ from repro.analysis.forensics import (
     first_divergence,
 )
 from repro.analysis.rootcause import Penetration
-from repro.fi.campaign import CampaignConfig, run_asm_campaign
+from repro.fi.campaign import (
+    CampaignConfig,
+    run_asm_campaign,
+    run_ir_campaign,
+)
 from repro.fi.outcomes import Outcome
 from repro.pipeline import build
 
@@ -36,6 +40,13 @@ def protected_campaign():
     return built, campaign
 
 
+@pytest.fixture(scope="module")
+def dup100_crc32():
+    """crc32/tiny at dup-100, without and with control-flow checking."""
+    return {cfc: build("crc32", scale="tiny", level=100, cfc=cfc)
+            for cfc in (False, True)}
+
+
 class TestExplainInjection:
     def test_sdc_story_complete(self, protected_campaign):
         built, campaign = protected_campaign
@@ -55,13 +66,27 @@ class TestExplainInjection:
         assert "root cause" in text
         assert "diverges" in text
 
-    def test_replay_matches_campaign_outcome(self, protected_campaign):
-        built, campaign = protected_campaign
-        for record in campaign.records[:30]:
+    @pytest.mark.parametrize("layer", ["ir", "asm"])
+    @pytest.mark.parametrize("fault_model", ["seu", "set", "cf"])
+    def test_replay_matches_campaign_outcome(self, dup100_crc32,
+                                             fault_model, layer):
+        # every record replays under its own fault model: a SET or cf
+        # record replayed as SEU (or a cf index read as a value site)
+        # comes out differently
+        built = dup100_crc32[fault_model == "cf"]
+        config = CampaignConfig(n_campaigns=80, seed=3)
+        if layer == "ir":
+            campaign = run_ir_campaign(built.module, config, built.layout,
+                                       fault_model=fault_model)
+        else:
+            campaign = run_asm_campaign(built.compiled, built.layout,
+                                        config, fault_model=fault_model)
+        for record in campaign.records:
+            assert record.fault_model == fault_model
             story = explain_injection(
                 record, built.module, built.layout,
                 compiled=built.compiled, asm=built.asm,
-                dup_info=built.protection.dup_info,
+                dup_info=built.protection.dup_info, layer=layer,
             )
             assert story.outcome is record.outcome
 
@@ -79,8 +104,6 @@ class TestExplainInjection:
 
     def test_ir_layer_story(self):
         built = build("crc32", scale="tiny")
-        from repro.fi.campaign import run_ir_campaign
-
         campaign = run_ir_campaign(
             built.module, CampaignConfig(n_campaigns=80, seed=4),
             built.layout,

@@ -33,7 +33,7 @@ from repro.frontend.codegen import compile_source
 from repro.interp.interpreter import IRInterpreter
 from repro.machine.machine import AsmMachine
 from repro.pipeline import build_from_source
-from repro.protection.planner import evaluate_protection, profile_module
+from repro.protection.planner import profile_module
 from repro.testgen.minic import GenConfig
 from repro.testgen.strategies import minic_sources
 
@@ -381,13 +381,13 @@ class TestPlannerPath:
         assert p1.golden_output == p2.golden_output
         assert p1.sdc_counts == p2.sdc_counts
 
-    def test_evaluate_protection_is_cached(self, tmp_path):
+    def test_plan_evaluation_is_cached(self, tmp_path):
         built = _build()
         path = str(tmp_path / "store.jsonl")
         cfg = CampaignConfig(n_campaigns=30, seed=2)
         with SectionProfileStore(path) as store:
-            cold = evaluate_protection(built, store, cfg)
-            warm = evaluate_protection(built, store, cfg)
+            cold = run_incremental_campaign(built, "ir", cfg, store)
+            warm = run_incremental_campaign(built, "ir", cfg, store)
         assert cold.simulated > 0
         assert warm.simulated == 0
         assert cold.summary() == warm.summary()
