@@ -1,12 +1,12 @@
 """Overhead guard for the trace taps (<2% when disabled).
 
-The taps piggyback on the per-step tracking check the simulators
-already perform for profiling: with tracing off, each hot-loop
-iteration tests exactly one pre-hoisted local, same as before the
-subsystem existed.  This guard measures that claim directly by timing
-many interleaved disabled-vs-baseline runs, and also sanity-checks the
-enabled modes (sync tracing should stay within a small constant factor,
-and the disabled path must never be slower than the enabled one).
+A tap is the simulators' one per-step observation mechanism: with no
+tap attached, each hot-loop iteration tests exactly one pre-hoisted
+local (``hook is not None``).  This guard measures that claim directly
+by timing many interleaved disabled-vs-baseline runs, and also
+sanity-checks the enabled modes (sync tracing should stay within a
+small constant factor, and the disabled path must never be slower than
+the enabled one).
 
 Timing comparisons on shared CI boxes are noisy, so the guard uses the
 median of many interleaved pairs and a small alignment slack on top of
@@ -102,8 +102,8 @@ class TestDisabledOverhead:
 
     def test_disabled_loop_does_no_tracking_work(self, crc32_built):
         # structural half of the guarantee: with trace=None the
-        # simulators hold no tracer and take the `track == False`
-        # per-step path (one local test), identical to profiling-off
+        # simulators hold no tap and take the `hook is None` per-step
+        # path (one local test)
         interp = IRInterpreter(crc32_built.module,
                                layout=crc32_built.layout)
         assert interp.tracer is None

@@ -81,12 +81,12 @@ def static_stats(program: AsmProgram) -> AsmStatics:
 
 
 def dynamic_role_histogram(
-    compiled: CompiledProgram, per_inst_counts: Dict[int, int]
+    compiled: CompiledProgram, counts: Dict[int, int]
 ) -> Dict[str, int]:
-    """Dynamic execution counts per role, from a profiling run's
-    per-static-instruction counts."""
+    """Dynamic execution counts per role, from per-pc counts (a
+    :class:`~repro.trace.tap.MachineCountTap`'s ``counts``)."""
     hist: Counter = Counter()
-    for index, count in per_inst_counts.items():
+    for index, count in counts.items():
         inst = compiled.inst_at(index)
         hist[inst.role] += count
     return dict(hist)

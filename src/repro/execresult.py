@@ -44,8 +44,6 @@ class ExecResult:
     injected: bool = False
     #: static id of the instruction that received the fault
     injected_iid: Optional[int] = None
-    #: per-static-instruction dynamic execution counts (profiling runs)
-    per_inst_counts: Optional[Dict[int, int]] = None
     #: free-form extras (layer-specific diagnostics)
     extra: Dict[str, object] = field(default_factory=dict)
 

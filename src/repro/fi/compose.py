@@ -88,9 +88,9 @@ from .journal import (
     seal_doc,
 )
 from .outcomes import Outcome
-from .resilience import ROW_FIELDS, record_from_row
+from .resilience import normalize_row, record_from_row
 from .sections import SiteMap, map_sites
-from .stats import DEFAULT_Z, composed_interval
+from .stats import DEFAULT_Z, composed_summary
 
 __all__ = [
     "STORE_SCHEMA",
@@ -282,6 +282,73 @@ class SectionProfile:
 # the store
 # ---------------------------------------------------------------------------
 
+#: the event kinds a store file holds (``other`` counts the rest)
+_STORE_EVENTS = ("header", "row", "profile", "claim", "release", "other")
+
+
+class _StoreFold:
+    """The one reading of store events (called per document, in file
+    order), shared by the live store and ``repro store
+    stats|verify|compact``.  Rows pass through
+    :func:`~repro.fi.resilience.normalize_row`; the latest valid profile
+    per key (parsed, and verbatim in ``profile_docs``) clears its rows
+    and claim."""
+
+    def __init__(self) -> None:
+        self.header: Optional[Dict] = None
+        self.profiles: Dict[str, SectionProfile] = {}
+        self.profile_docs: Dict[str, Dict] = {}
+        #: partial (uncommitted) rows: key -> {(plan n, local i): row}
+        self.partial: Dict[str, Dict[Tuple[int, int], Tuple]] = {}
+        #: live claim docs by key (latest wins; profile/release clears)
+        self.claims: Dict[str, Dict] = {}
+        self.events = {ev: 0 for ev in _STORE_EVENTS}
+
+    def __call__(self, doc: Dict) -> None:
+        ev = doc.get("ev")
+        # tuple membership compares, so an unhashable "ev" counts as other
+        self.events[ev if ev in _STORE_EVENTS else "other"] += 1
+        key = doc.get("k")
+        if ev == "header":
+            if self.header is None:
+                self.header = doc
+        elif not isinstance(key, str):
+            return
+        elif ev == "row":
+            row = doc.get("row")
+            n, i = doc.get("n"), doc.get("i")
+            if isinstance(n, int) and isinstance(i, int) and \
+                    isinstance(row, list):
+                row = normalize_row(row)
+                if row is not None:
+                    self.partial.setdefault(key, {})[(n, i)] = row
+        elif ev == "profile":
+            try:
+                profile = SectionProfile.from_doc(key, doc["profile"])
+            except (KeyError, TypeError, AttributeError):
+                return              # malformed entry: treat as absent
+            self.profiles[key] = profile
+            self.profile_docs[key] = doc
+            self.partial.pop(key, None)
+            self.claims.pop(key, None)
+        elif ev == "claim":
+            self.claims[key] = doc
+        elif ev == "release":
+            claim = self.claims.get(key)
+            if claim is not None and claim.get("owner") == doc.get("owner"):
+                del self.claims[key]
+
+
+def _claim_expired(claim: Dict, default_ttl: float) -> bool:
+    """A claim's TTL ran out without a heartbeat (or its timestamps
+    are unreadable)."""
+    ts = claim.get("ts", 0)
+    ttl = claim.get("ttl", default_ttl)
+    return (not isinstance(ts, (int, float))
+            or not isinstance(ttl, (int, float))
+            or time.time() > ts + ttl)
+
+
 class SectionProfileStore:
     """Journal-backed content-addressed section-profile cache, safe for
     concurrent multi-process use.
@@ -330,11 +397,7 @@ class SectionProfileStore:
     def __init__(self, path: str, *, lock_timeout: Optional[float] = None,
                  claim_ttl: Optional[float] = None):
         self.path = path
-        self.profiles: Dict[str, SectionProfile] = {}
-        #: partial (uncommitted) rows: key -> {(plan n, local i): row}
-        self.partial: Dict[str, Dict[Tuple[int, int], Tuple]] = {}
-        #: live claim docs by key (latest wins; profile/release clears)
-        self.claims: Dict[str, Dict] = {}
+        self._reset()
         self.claim_ttl = (claim_ttl if claim_ttl is not None
                           else _env_float(_CLAIM_TTL_ENV, CLAIM_TTL))
         self.noop_commits_skipped = 0
@@ -349,7 +412,6 @@ class SectionProfileStore:
         self._owner = f"{self._host}:{os.getpid()}:{self._token}"
         #: claims held by this handle: key -> last heartbeat time
         self._my_claims: Dict[str, float] = {}
-        self._header_seen = False
         self._offset = 0
         self._fh = None
         self._quarantine = QuarantineLog(path)
@@ -359,7 +421,7 @@ class SectionProfileStore:
                 exists = os.path.exists(path) and os.path.getsize(path) > 0
                 if exists:
                     self._scan_from(0)
-                    if not self._header_seen:
+                    if self._fold.header is None:
                         raise CampaignError(
                             f"store {self.path!r} has no readable header")
                 else:
@@ -373,7 +435,6 @@ class SectionProfileStore:
                         "ev": "header", "version": STORE_VERSION,
                         "schema": STORE_SCHEMA,
                     })
-                    self._header_seen = True
                     self._offset = os.fstat(self._fh.fileno()).st_size
         except StoreLockTimeout as exc:
             self._degrade(f"lock acquisition failed: {exc}")
@@ -405,41 +466,22 @@ class SectionProfileStore:
 
     # -- scanning / ingest ----------------------------------------------
 
-    def _ingest(self, doc: Dict) -> None:
-        ev = doc.get("ev")
-        if ev == "header":
-            if doc.get("schema") != STORE_SCHEMA:
-                raise CampaignError(
-                    f"store {self.path!r} has schema "
-                    f"{doc.get('schema')!r}, expected {STORE_SCHEMA!r}")
-            self._header_seen = True
-        elif ev == "row":
-            row = doc.get("row")
-            if isinstance(doc.get("i"), int) and \
-                    isinstance(doc.get("n"), int) and \
-                    isinstance(row, list) and \
-                    len(row) == len(ROW_FIELDS):
-                self.partial.setdefault(
-                    doc["k"], {})[(doc["n"], doc["i"])] = tuple(row)
-        elif ev == "profile":
-            try:
-                self.profiles[doc["k"]] = SectionProfile.from_doc(
-                    doc["k"], doc["profile"])
-            except (KeyError, TypeError):
-                return              # malformed entry: treat as absent
-            self.partial.pop(doc["k"], None)
-            self.claims.pop(doc["k"], None)
-        elif ev == "claim":
-            if isinstance(doc.get("k"), str):
-                self.claims[doc["k"]] = doc
-        elif ev == "release":
-            claim = self.claims.get(doc.get("k"))
-            if claim is not None and claim.get("owner") == doc.get("owner"):
-                del self.claims[doc["k"]]
+    def _reset(self) -> None:
+        """Empty in-memory state: a fresh fold, whose maps the store's
+        own writes update too (``profile_docs`` aside)."""
+        self._fold = _StoreFold()
+        self.profiles = self._fold.profiles
+        self.partial = self._fold.partial
+        self.claims = self._fold.claims
 
     def _scan_from(self, start: int) -> None:
-        stats = scan_jsonl(self.path, self._ingest, start=start,
+        stats = scan_jsonl(self.path, self._fold, start=start,
                            quarantine=self._quarantine)
+        header = self._fold.header
+        if header is not None and header.get("schema") != STORE_SCHEMA:
+            raise CampaignError(
+                f"store {self.path!r} has schema "
+                f"{header.get('schema')!r}, expected {STORE_SCHEMA!r}")
         self._offset = stats.offset
         self.scan_corrupt += stats.corrupt
         self.scan_crc_checked += stats.crc_checked
@@ -456,10 +498,7 @@ class SectionProfileStore:
             return
         self._fh.close()
         self._fh = open(self.path, "a", encoding="utf-8")
-        self.profiles.clear()
-        self.partial.clear()
-        self.claims.clear()
-        self._header_seen = False
+        self._reset()
         self._offset = 0
         self._scan_from(0)
 
@@ -531,11 +570,7 @@ class SectionProfileStore:
         """A claim is stale when its TTL expired without a heartbeat,
         or its owner is provably gone (dead pid on this host, or a
         previous incarnation of this very process)."""
-        now = time.time()
-        ts = claim.get("ts", 0)
-        ttl = claim.get("ttl", self.claim_ttl)
-        if not isinstance(ts, (int, float)) or \
-                not isinstance(ttl, (int, float)) or now > ts + ttl:
+        if _claim_expired(claim, self.claim_ttl):
             return True
         owner = claim.get("owner", "")
         try:
@@ -696,63 +731,16 @@ class SectionProfileStore:
 # ---------------------------------------------------------------------------
 
 def _scan_state(path: str, *, quarantine: Optional[QuarantineLog] = None):
-    """One read-only pass over a store file: returns (state, ScanStats).
-
-    ``state`` mirrors the store's in-memory maps plus verification
-    extras (header doc, per-key latest profile doc with its ``kd``,
-    raw event counts).
-    """
-    state = {
-        "header": None,
-        "profiles": {},         # key -> profile event doc
-        "partial": {},          # key -> {(n, i): row doc}
-        "claims": {},           # key -> claim doc
-        "events": {"header": 0, "row": 0, "profile": 0,
-                   "claim": 0, "release": 0, "other": 0},
-    }
-
-    def ingest(doc: Dict) -> None:
-        ev = doc.get("ev")
-        if ev == "header":
-            state["events"]["header"] += 1
-            if state["header"] is None:
-                state["header"] = doc
-        elif ev == "row":
-            state["events"]["row"] += 1
-            row = doc.get("row")
-            if isinstance(doc.get("i"), int) and \
-                    isinstance(doc.get("n"), int) and isinstance(row, list):
-                state["partial"].setdefault(
-                    doc.get("k"), {})[(doc["n"], doc["i"])] = doc
-        elif ev == "profile":
-            state["events"]["profile"] += 1
-            if isinstance(doc.get("k"), str):
-                state["profiles"][doc["k"]] = doc
-                state["partial"].pop(doc["k"], None)
-                state["claims"].pop(doc["k"], None)
-        elif ev == "claim":
-            state["events"]["claim"] += 1
-            if isinstance(doc.get("k"), str):
-                state["claims"][doc["k"]] = doc
-        elif ev == "release":
-            state["events"]["release"] += 1
-            claim = state["claims"].get(doc.get("k"))
-            if claim is not None and \
-                    claim.get("owner") == doc.get("owner"):
-                del state["claims"][doc["k"]]
-        else:
-            state["events"]["other"] += 1
-
-    stats = scan_jsonl(path, ingest, quarantine=quarantine)
-    return state, stats
+    """One read-only pass over a store file: returns the
+    :class:`_StoreFold` of its events and the ``ScanStats``."""
+    fold = _StoreFold()
+    stats = scan_jsonl(path, fold, quarantine=quarantine)
+    return fold, stats
 
 
-def _claim_live(claim: Dict) -> bool:
-    ts = claim.get("ts", 0)
-    ttl = claim.get("ttl", CLAIM_TTL)
-    if not isinstance(ts, (int, float)) or not isinstance(ttl, (int, float)):
-        return False
-    return time.time() <= ts + ttl
+def _live_claims(fold: _StoreFold) -> Dict[str, Dict]:
+    return {k: c for k, c in fold.claims.items()
+            if not _claim_expired(c, CLAIM_TTL)}
 
 
 def verify_store(path: str) -> Dict[str, object]:
@@ -766,17 +754,17 @@ def verify_store(path: str) -> Dict[str, object]:
     """
     if not os.path.exists(path):
         raise CampaignError(f"store {path!r} does not exist")
-    state, stats = _scan_state(path)
+    fold, stats = _scan_state(path)
     key_mismatches = []
     keys_checked = 0
-    for key, doc in state["profiles"].items():
+    for key, doc in fold.profile_docs.items():
         kd = doc.get("kd")
         if kd is None:
             continue            # pre-v2 commit: no preimage to check
         keys_checked += 1
         if key_from_doc(kd) != key:
             key_mismatches.append(key)
-    header = state["header"]
+    header = fold.header
     schema_ok = bool(header) and header.get("schema") == STORE_SCHEMA
     report = {
         "path": path,
@@ -787,8 +775,8 @@ def verify_store(path: str) -> Dict[str, object]:
         "crc_missing": stats.crc_missing,
         "torn_tail": stats.torn_tail,
         "schema_ok": schema_ok,
-        "profiles": len(state["profiles"]),
-        "partial_keys": len(state["partial"]),
+        "profiles": len(fold.profiles),
+        "partial_keys": len(fold.partial),
         "keys_checked": keys_checked,
         "key_mismatches": key_mismatches,
         "ok": (stats.corrupt == 0 and not key_mismatches and schema_ok),
@@ -800,20 +788,20 @@ def store_stats(path: str) -> Dict[str, object]:
     """Event and liveness counters for one store file (read-only)."""
     if not os.path.exists(path):
         raise CampaignError(f"store {path!r} does not exist")
-    state, stats = _scan_state(path)
-    live = {k: c for k, c in state["claims"].items() if _claim_live(c)}
+    fold, stats = _scan_state(path)
+    live = _live_claims(fold)
     return {
         "path": path,
         "bytes": os.path.getsize(path),
         "docs": stats.docs,
         "corrupt": stats.corrupt,
         "crc_missing": stats.crc_missing,
-        "events": state["events"],
-        "profiles": len(state["profiles"]),
-        "partial_keys": len(state["partial"]),
-        "partial_rows": sum(len(v) for v in state["partial"].values()),
+        "events": fold.events,
+        "profiles": len(fold.profiles),
+        "partial_keys": len(fold.partial),
+        "partial_rows": sum(len(v) for v in fold.partial.values()),
         "claims_live": len(live),
-        "claims_stale": len(state["claims"]) - len(live),
+        "claims_stale": len(fold.claims) - len(live),
     }
 
 
@@ -835,14 +823,13 @@ def compact_store(path: str, *,
     lock = FileLock(path + ".lock", timeout=lock_timeout)
     with lock.exclusive():
         before = os.path.getsize(path)
-        state, stats = _scan_state(path, quarantine=QuarantineLog(path))
-        header = state["header"]
+        fold, stats = _scan_state(path, quarantine=QuarantineLog(path))
+        header = fold.header
         if header is None or header.get("schema") != STORE_SCHEMA:
             raise CampaignError(
                 f"store {path!r} has no valid header; refusing to compact")
         tmp = path + ".compact.tmp"
-        live_claims = {k: c for k, c in state["claims"].items()
-                       if _claim_live(c)}
+        live_claims = _live_claims(fold)
         kept = 0
         with open(tmp, "w", encoding="utf-8") as fh:
             def put(doc: Dict) -> None:
@@ -852,12 +839,13 @@ def compact_store(path: str, *,
 
             put({"ev": "header", "version": STORE_VERSION,
                  "schema": STORE_SCHEMA})
-            for key in sorted(state["profiles"]):
-                put(state["profiles"][key])
-            for key in sorted(state["partial"]):
-                rows = state["partial"][key]
-                for (_n, _i) in sorted(rows):
-                    put(rows[(_n, _i)])
+            for key in sorted(fold.profile_docs):
+                put(fold.profile_docs[key])
+            for key in sorted(fold.partial):
+                rows = fold.partial[key]
+                for (n, i) in sorted(rows):
+                    put({"ev": "row", "k": key, "n": n, "i": i,
+                         "row": list(rows[(n, i)])})
             for key in sorted(live_claims):
                 put(live_claims[key])
             fh.flush()
@@ -873,8 +861,8 @@ def compact_store(path: str, *,
         "docs_after": kept,
         "dropped": stats.docs - kept,
         "corrupt_dropped": stats.corrupt,
-        "profiles": len(state["profiles"]),
-        "partial_keys": len(state["partial"]),
+        "profiles": len(fold.profiles),
+        "partial_keys": len(fold.partial),
         "claims_kept": len(live_claims),
     }
 
@@ -945,35 +933,15 @@ class ComposedResult:
         Rates are site-weighted compositions ``sum(w_s * k_s / n_s)``
         — the estimate a whole-program uniform campaign converges to —
         with intervals from the per-section binomial variances
-        (:func:`repro.fi.stats.composed_interval`).  Sections with
-        zero dynamic sites carry zero weight and drop out.  Statically
-        pruned draws are benign by construction, so the benign rate
-        folds :data:`~repro.fi.outcomes.Outcome.PRUNE_BENIGN` in —
-        pruned composed estimates stay bit-identical to unpruned ones.
+        (:func:`repro.fi.stats.composed_summary`).  Sections with
+        zero dynamic sites carry zero weight.  Statically pruned draws
+        are benign by construction, so the benign rate folds
+        :data:`~repro.fi.outcomes.Outcome.PRUNE_BENIGN` in — pruned
+        composed estimates stay bit-identical to unpruned ones.
         """
-        weights = self._weights()
-        contributing = [
-            (w, s) for w, s in zip(weights, self.sections) if w > 0
-        ]
-        out: Dict[str, object] = {}
-        for outcome in (Outcome.SDC, Outcome.DUE, Outcome.DETECTED,
-                        Outcome.BENIGN):
-            def k_of(s) -> int:
-                k = s.profile.counts.get(outcome, 0)
-                if outcome is Outcome.BENIGN:
-                    k += s.profile.counts.get(Outcome.PRUNE_BENIGN, 0)
-                return k
-
-            p, lo, hi = composed_interval(
-                [w for w, _ in contributing],
-                [k_of(s) for _, s in contributing],
-                [s.profile.n for _, s in contributing],
-                z=z,
-            )
-            out[outcome.value] = p
-            out[f"{outcome.value}_ci"] = (lo, hi)
-        out["pruned"] = self.counts.get(Outcome.PRUNE_BENIGN, 0)
-        return out
+        return composed_summary(self._weights(),
+                                [s.profile.counts for s in self.sections],
+                                [s.profile.n for s in self.sections], z)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .engine import run_injection_suite
 from .outcomes import Outcome, canonical_trap_kind
 from .resilience import record_from_row
 from .sections import traced_sites
-from .stats import composed_interval, neyman_allocation, wilson_interval
+from .stats import composed_summary, neyman_allocation, wilson_interval
 
 __all__ = [
     "PrunePlan",
@@ -295,36 +295,25 @@ class StratifiedResult(CampaignResult):
 
     strata: List[StratumSummary] = field(default_factory=list)
 
-    def _composed(self, *outcomes: Outcome) -> Tuple[float, float, float]:
-        weights = [s.weight for s in self.strata]
-        ks = [sum(s.counts.get(o, 0) for o in outcomes)
-              for s in self.strata]
-        ns = [s.n for s in self.strata]
-        return composed_interval(weights, ks, ns)
+    def _composed(self) -> Dict[str, object]:
+        return composed_summary([s.weight for s in self.strata],
+                                [s.counts for s in self.strata],
+                                [s.n for s in self.strata])
 
     @property
     def sdc_probability(self) -> float:
-        return self._composed(Outcome.SDC)[0]
+        return self._composed()["sdc"]
 
     @property
     def due_probability(self) -> float:
-        return self._composed(Outcome.DUE)[0]
+        return self._composed()["due"]
 
     @property
     def detected_probability(self) -> float:
-        return self._composed(Outcome.DETECTED)[0]
+        return self._composed()["detected"]
 
     def summary(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"pruned": self.pruned}
-        for name, outcomes in (
-            ("sdc", (Outcome.SDC,)),
-            ("due", (Outcome.DUE,)),
-            ("detected", (Outcome.DETECTED,)),
-            ("benign", (Outcome.BENIGN, Outcome.PRUNE_BENIGN)),
-        ):
-            p, lo, hi = self._composed(*outcomes)
-            out[name] = p
-            out[f"{name}_ci"] = (lo, hi)
+        out = self._composed()
         out["strata"] = [s.to_doc() for s in self.strata]
         return out
 

@@ -56,6 +56,7 @@ __all__ = [
     "campaign_key",
     "run_supervised",
     "record_from_row",
+    "normalize_row",
     "pruned_row",
 ]
 
@@ -73,8 +74,8 @@ ROW_FIELDS = ("idx", "bit", "status", "output", "iid",
               "fault_model", "pruned")
 
 JOURNAL_VERSION = 3
-_LEGACY_ROW_LEN = 9
-_V2_ROW_LEN = 10
+#: defaults of the trailing columns older row layouts lack
+_ROW_PAD = ("seu", 0)
 
 #: test-only fault hooks — each names a sentinel path; the first worker
 #: process to claim the sentinel crashes (or hangs) exactly once, which
@@ -259,6 +260,18 @@ def pruned_row(layer: str, idx: int, bit: int, golden_output: str,
             static_id, asm_role, asm_opcode, None, fault_model, 1)
 
 
+def normalize_row(row) -> Optional[Tuple]:
+    """A journal or store row of any layout as a tuple in the current
+    :data:`ROW_FIELDS` layout, or None when its length matches none.
+
+    The one reading of old rows: v1 rows gain ``fault_model="seu"`` and
+    ``pruned=0``, v2 rows ``pruned=0``."""
+    missing = len(ROW_FIELDS) - len(row)
+    if not 0 <= missing <= len(_ROW_PAD):
+        return None
+    return tuple(row) + _ROW_PAD[len(_ROW_PAD) - missing:]
+
+
 def record_from_row(row: Tuple, golden_output: str
                     ) -> Tuple[Outcome, InjectionRecord]:
     """Classify one row against the golden output.
@@ -270,13 +283,9 @@ def record_from_row(row: Tuple, golden_output: str
     simulated, and folding them into plain Benign would hide how much
     work the pruner skipped.
     """
-    if len(row) == _LEGACY_ROW_LEN:
-        row = row + ("seu",)
-    if len(row) == _V2_ROW_LEN:
-        row = row + (0,)
     (idx, bit, status, output, iid,
      asm_index, asm_role, asm_opcode, trap_kind, fault_model,
-     pruned) = row
+     pruned) = normalize_row(row)
     if pruned:
         outcome = Outcome.PRUNE_BENIGN
     else:
@@ -389,14 +398,10 @@ class InjectionJournal:
             elif doc.get("ev") == "row":
                 row = doc.get("row")
                 if isinstance(doc.get("i"), int) and \
-                        isinstance(row, list) and \
-                        len(row) in (len(ROW_FIELDS), _V2_ROW_LEN,
-                                     _LEGACY_ROW_LEN):
-                    if len(row) == _LEGACY_ROW_LEN:
-                        row = row + ["seu"]
-                    if len(row) == _V2_ROW_LEN:
-                        row = row + [0]
-                    completed[doc["i"]] = tuple(row)
+                        isinstance(row, list):
+                    row = normalize_row(row)
+                    if row is not None:
+                        completed[doc["i"]] = row
 
         scan_jsonl(path, on_doc, quarantine=QuarantineLog(path))
         return state["header"], completed

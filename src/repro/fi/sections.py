@@ -49,7 +49,7 @@ from ..ir.instructions import (
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, GlobalVariable
 from ..machine.machine import CompiledProgram
-from ..trace.tap import IRTracer, MachineTracer
+from ..trace.tap import Tap
 from .campaign import _Layer
 
 __all__ = [
@@ -265,45 +265,29 @@ def partition_asm(program: CompiledProgram,
 # site-enumeration taps
 # ---------------------------------------------------------------------------
 
-class _IRSiteTap(IRTracer):
+class _IRSiteTap(Tap):
     """Records the static iid of every injectable dynamic site, in
-    allocation order.  Subclasses :class:`IRTracer` only so the
-    interpreter's ``isinstance`` coercion accepts it; all base
-    machinery is bypassed."""
+    allocation order."""
 
     def __init__(self, predicate: Callable[[Instruction], bool]):
         self._pred = predicate
         self.seq: List[int] = []
-        self.trace = None
-
-    def attach(self, interp) -> None:
-        pass
 
     def hook(self, inst, frame) -> None:
         if self._pred(inst):
             self.seq.append(inst.iid)
 
-    def finish(self) -> None:
-        pass
 
-
-class _AsmSiteTap(MachineTracer):
+class _AsmSiteTap(Tap):
     """Asm counterpart: records the pc of every injectable site."""
 
     def __init__(self, kinds: Sequence[int]):
         self._kinds = kinds
         self.seq: List[int] = []
-        self.trace = None
-
-    def attach(self, machine) -> None:
-        pass
 
     def hook(self, pc, regs, xmm) -> None:
         if self._kinds[pc]:
             self.seq.append(pc)
-
-    def finish(self, regs, xmm) -> None:
-        pass
 
 
 def _ir_site_predicate(fault_model: str) -> Callable[[Instruction], bool]:

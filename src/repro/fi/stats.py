@@ -8,6 +8,8 @@ estimates are *weighted sums* of independent per-section proportions;
 through the weights and reports a normal-approximation interval,
 clamped to [0, 1] — exactly the DETOx-style budget-vs-confidence
 readout the incremental campaign engine owes its callers (DESIGN §15).
+:func:`composed_summary` is the one summary dict stratified and
+section-composed campaigns report from it.
 
 Degenerate inputs fail loudly: ``k > n``, ``k < 0``, negative trial
 counts, negative weights and NaN/inf anywhere raise :class:`ValueError`
@@ -29,11 +31,14 @@ variance.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+from .outcomes import Outcome
 
 __all__ = [
     "wilson_interval",
     "composed_interval",
+    "composed_summary",
     "neyman_allocation",
     "DEFAULT_Z",
 ]
@@ -109,6 +114,37 @@ def composed_interval(
             var += w * w * 0.25
     half = z * math.sqrt(var)
     return (p, max(0.0, p - half), min(1.0, p + half))
+
+
+#: summary rate name -> the outcomes it counts; statically pruned
+#: draws are benign by construction, so pruned estimates stay
+#: bit-identical to unpruned ones
+_SUMMARY_RATES = (
+    ("sdc", (Outcome.SDC,)),
+    ("due", (Outcome.DUE,)),
+    ("detected", (Outcome.DETECTED,)),
+    ("benign", (Outcome.BENIGN, Outcome.PRUNE_BENIGN)),
+)
+
+
+def composed_summary(
+    weights: Sequence[float],
+    counts: Sequence[Mapping[Outcome, int]],
+    ns: Sequence[int],
+    z: float = DEFAULT_Z,
+) -> Dict[str, object]:
+    """Composed rates of per-stratum (or per-section) outcome
+    ``counts`` over ``ns`` draws: ``sdc``, ``due``, ``detected`` and
+    ``benign`` with their ``*_ci`` intervals from
+    :func:`composed_interval`, plus the ``pruned`` draw total."""
+    out: Dict[str, object] = {}
+    for name, outcomes in _SUMMARY_RATES:
+        ks = [sum(c.get(o, 0) for o in outcomes) for c in counts]
+        p, lo, hi = composed_interval(weights, ks, ns, z)
+        out[name] = p
+        out[f"{name}_ci"] = (lo, hi)
+    out["pruned"] = sum(c.get(Outcome.PRUNE_BENIGN, 0) for c in counts)
+    return out
 
 
 def neyman_allocation(

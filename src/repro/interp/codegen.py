@@ -51,10 +51,10 @@ traceback and repairs the counters before re-raising.  Injection flips
 route through ``_interp._flip_value`` (a late module-attribute lookup,
 so the chaos harness's fault bombs hit generated code too).
 
-Runs that need snapshots, profiling or trace taps delegate to the
-decoded loop (bit-identical by the PR-5 equivalence suite); resuming
-*from* a snapshot runs generated code, entering via a short decoded
-"careful" stretch when the snapshot stopped mid-chunk.  Inlined stores
+Runs that need snapshots or taps delegate to the decoded loop
+(bit-identical by the equivalence suite); resuming *from* a snapshot
+runs generated code, entering via a short decoded "careful" stretch
+when the snapshot stopped mid-chunk.  Inlined stores
 keep the memory's written extent (DESIGN §10) covering what they write
 through the ``LE``/``HS`` bound locals each function hoists at entry.
 
@@ -734,7 +734,7 @@ class _Emitter(_Decoder):
 
 def _generate(module: Module, layout: GlobalLayout,
               fault_model: str = "seu") -> CodegenModule:
-    dm = decode_module(module, layout)
+    dm = decode_module(module, layout, fault_model)
     em = _Emitter(module, layout, fault_model)
     sb = SourceBuilder()
     fn_list = list(dm.functions.items())

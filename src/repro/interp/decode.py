@@ -9,35 +9,42 @@ global addresses, or argument slots, and with the handler (including
 type widths, wrap masks, and element sizes) selected at decode time.
 
 The decoded form of an instruction is a 4-tuple ``(kind, payload, iid,
-inst)``:
+inst)``.  The kinds carry the fault model's *site rule*: a module is
+decoded once for the value sites of SEU and SET and once for the branch
+sites of control-flow faults (``fault_model="cf"``):
 
-======== =========================================================
-kind     payload
-======== =========================================================
-K_VALUE  ``fn(ip, fr) -> value`` (allocates an injectable index)
-K_CALL1  ``(args_fn, DecodedFunction)`` call with result (allocates)
-K_CTRL   ``fn(ip, fr) -> None`` (store / void intrinsic / raiser)
-K_CALL0  ``(args_fn, DecodedFunction)`` void call
-K_RET    ``fn(ip, fr) -> value`` or ``None`` for ``ret void``
-K_BR     ``(block, code)`` pair of the target block
-K_CONDBR ``(cond_fn, then_pair, else_pair)``
-K_ALLOCA allocation size in bytes
-======== =========================================================
-
-``K_BR``/``K_CONDBR`` entries carry a fifth element: the function's
-shared ``block_pairs`` list ((block, code) pairs in ``fn.blocks``
-order), which the control-flow fault model uses to redirect a corrupted
-transfer to a uniformly drawn block.  The SEU/SET loops index only
-elements 0–3 and never see it.
+=========== =========== ================================================
+value rule  cf rule     payload
+=========== =========== ================================================
+K_VALUE     K_CF_VALUE  ``fn(ip, fr) -> value``
+K_CALL1     K_CALL0     ``(args_fn, DecodedFunction, ret_slot)`` call
+                        with a result (``ret_slot`` is its iid)
+K_CTRL      K_CTRL      ``fn(ip, fr) -> None`` (store / void intrinsic /
+                        raiser)
+K_CALL0     K_CALL0     ``(args_fn, DecodedFunction, None)`` void call
+K_RET       K_RET       ``fn(ip, fr) -> value`` or ``None`` for ``ret
+                        void``
+K_BR        K_CF_BR     ``(block, code)`` pair of the target block
+K_CONDBR    K_CF_CONDBR ``(cond_fn, then_pair, else_pair)``
+K_ALLOCA    K_ALLOCA    allocation size in bytes
+=========== =========== ================================================
 
 The driver loop in :class:`~repro.interp.interpreter.IRInterpreter`
 tests ``kind <= 1`` to find the instructions that allocate injectable
-dynamic indices — exactly the set the naive loop allocates for, in the
-same order, so fault-injection semantics are bit-identical.
+dynamic indices: ``K_VALUE``/``K_CALL1`` (0 and 1) under the value
+rule, the negative ``K_CF_BR``/``K_CF_CONDBR`` under the cf rule —
+exactly the set the naive loop allocates for, in the same order, so
+fault-injection semantics are bit-identical.  ``K_CF_VALUE`` (8) is a
+value producer that is not a site; the loop tests it, and the cf
+branch kinds, after every value-rule kind.
+
+Branch entries carry a fifth element: the function's shared
+``block_pairs`` list ((block, code) pairs in ``fn.blocks`` order), from
+which a control-flow fault draws its redirect target.
 
 Decoding is cached per :class:`~repro.ir.module.Module` (weakly, so
-modules stay collectable) and keyed by the global layout's address
-assignment, which the closures bake in.
+modules stay collectable), one decode per site rule, and keyed by the
+global layout's address assignment, which the closures bake in.
 """
 
 from __future__ import annotations
@@ -74,10 +81,15 @@ __all__ = [
     "K_BR",
     "K_CONDBR",
     "K_ALLOCA",
+    "K_CF_VALUE",
+    "K_CF_BR",
+    "K_CF_CONDBR",
 ]
 
 (K_VALUE, K_CALL1, K_CTRL, K_CALL0, K_RET, K_BR, K_CONDBR,
- K_ALLOCA) = range(8)
+ K_ALLOCA, K_CF_VALUE) = range(9)
+K_CF_BR = -1
+K_CF_CONDBR = -2
 
 _M64 = (1 << 64) - 1
 _PACK_F64 = struct.Struct("<d")
@@ -138,19 +150,25 @@ def _fingerprint(module: Module) -> Tuple[int, int]:
     return n, h
 
 
-def decode_module(module: Module, layout: GlobalLayout) -> DecodedModule:
-    """Decode ``module`` (cached; re-decodes if the module was mutated
-    in place by a pass or the layout moved)."""
+def decode_module(module: Module, layout: GlobalLayout,
+                  fault_model: str = "seu") -> DecodedModule:
+    """Decode ``module`` under the site rule of ``fault_model`` (cached
+    per rule; re-decodes if the module was mutated in place by a pass
+    or the layout moved)."""
+    cf = fault_model == "cf"
     fp = _fingerprint(module)
     cached = _CACHE.get(module)
     if cached is not None:
-        lay, cached_fp, dm = cached
+        lay, cached_fp, by_rule = cached
         if cached_fp == fp and (
             lay is layout or lay.addresses == layout.addresses
         ):
+            dm = by_rule.get(cf)
+            if dm is None:
+                dm = by_rule[cf] = _decode(module, layout, cf)
             return dm
-    dm = _decode(module, layout)
-    _CACHE[module] = (layout, fp, dm)
+    dm = _decode(module, layout, cf)
+    _CACHE[module] = (layout, fp, {cf: dm})
     return dm
 
 
@@ -307,9 +325,13 @@ def _mk_fptosi(width: int):
 
 
 class _Decoder:
-    def __init__(self, module: Module, layout: GlobalLayout):
+    def __init__(self, module: Module, layout: GlobalLayout,
+                 cf: bool = False):
         self.module = module
         self.layout = layout
+        #: the cf site rule: branches are the sites, values are not
+        self.cf = cf
+        self.value_kind = K_CF_VALUE if cf else K_VALUE
         self.nk = itertools.count()
         # one shared globals dict for every compiled closure
         self.env: Dict[str, object] = {
@@ -373,11 +395,11 @@ class _Decoder:
         iid = inst.iid
 
         if op == "br":
-            return (K_BR, dfn.pairs[inst.target], iid, inst,
-                    dfn.block_pairs)
+            return (K_CF_BR if self.cf else K_BR, dfn.pairs[inst.target],
+                    iid, inst, dfn.block_pairs)
         if op == "condbr":
             cond = self.compile(self.operand(inst.operands[0]))
-            return (K_CONDBR,
+            return (K_CF_CONDBR if self.cf else K_CONDBR,
                     (cond, dfn.pairs[inst.then_block],
                      dfn.pairs[inst.else_block]),
                     iid, inst, dfn.block_pairs)
@@ -404,7 +426,8 @@ class _Decoder:
         if op == "alloca":
             return (K_ALLOCA, max(1, inst.allocated_type.size), iid, inst)
 
-        return (K_VALUE, self.compile(self._value_expr(inst, op)), iid, inst)
+        return (self.value_kind, self.compile(self._value_expr(inst, op)),
+                iid, inst)
 
     def _decode_call(self, inst, functions) -> tuple:
         iid = inst.iid
@@ -427,7 +450,7 @@ class _Decoder:
                 self.env[name] = math_impl(callee)
                 expr = name + "(" + ", ".join(
                     f"float({a})" for a in args) + ")"
-                return (K_VALUE, self.compile(expr), iid, inst)
+                return (self.value_kind, self.compile(expr), iid, inst)
             return (K_CTRL, _ir_raiser(f"unknown intrinsic @{callee}"),
                     iid, inst)
 
@@ -440,8 +463,10 @@ class _Decoder:
                                f"args, got {len(args)}"),
                     iid, inst)
         args_fn = self.compile("[" + ", ".join(args) + "]")
-        kind = K_CALL0 if inst.type.is_void else K_CALL1
-        return (kind, (args_fn, functions[callee]), iid, inst)
+        if inst.type.is_void:
+            return (K_CALL0, (args_fn, functions[callee], None), iid, inst)
+        return (K_CALL0 if self.cf else K_CALL1,
+                (args_fn, functions[callee], iid), iid, inst)
 
     def _value_expr(self, inst, op: str) -> str:
         operand = self.operand
@@ -530,8 +555,8 @@ class _Decoder:
         raise IRError(f"cannot execute opcode {op!r}")
 
 
-def _decode(module: Module, layout: GlobalLayout) -> DecodedModule:
-    dec = _Decoder(module, layout)
+def _decode(module: Module, layout: GlobalLayout, cf: bool) -> DecodedModule:
+    dec = _Decoder(module, layout, cf)
     # shell pass first so calls and branches can reference any function
     # or block before its body is filled (mutual recursion, back edges)
     functions: Dict[Function, DecodedFunction] = {

@@ -196,17 +196,17 @@ class IRInterpreter(Simulator):
         args: Sequence[Union[int, float]] = (),
         inject_index: Optional[int] = None,
         inject_bit: int = 0,
-        profile: bool = False,
         resume_from: Optional[IRSnapshot] = None,
         checkpoints: Optional[Sequence[int]] = None,
         checkpoint_cb=None,
     ) -> ExecResult:
         """Execute ``entry`` and classify the run.
 
-        ``inject_index`` selects the N-th injectable dynamic instruction
-        (0-based) whose destination value gets ``inject_bit`` flipped.
-        ``profile=True`` additionally records per-static-instruction
-        dynamic execution counts.
+        ``inject_index`` selects the N-th injectable dynamic site
+        (0-based) of the fault model, ``inject_bit`` the fault
+        coordinate.  Per-step observation (tracing, site enumeration,
+        dynamic instruction counts) is a tap passed to the constructor
+        as ``trace=``; see :mod:`repro.trace.tap`.
 
         Checkpoint-replay runs on either snapshot tier (decoded or
         codegen; naive refuses it): ``checkpoints`` is a sorted list of
@@ -218,7 +218,7 @@ class IRInterpreter(Simulator):
         a snapshot and executes only the suffix.
         """
         return self._run((self.module.function(entry), list(args)),
-                         inject_index, inject_bit, profile, resume_from,
+                         inject_index, inject_bit, resume_from,
                          checkpoints, checkpoint_cb)
 
     @staticmethod
@@ -226,11 +226,6 @@ class IRInterpreter(Simulator):
         from ..trace.tap import IRTracer
 
         return IRTracer
-
-    def _profile_slots(self) -> int:
-        return max(
-            (inst.iid for inst in self.module.instructions()), default=0
-        ) + 1
 
     def _finish(self, value):
         if self.tracer is not None:
@@ -249,12 +244,8 @@ class IRInterpreter(Simulator):
         stack: List[_Frame] = []
         frame = self._push_frame(entry_fn, args, None)
         mem = self.memory
-        counts = self._counts
         tracer = self.tracer
         hook = tracer.hook if tracer is not None else None
-        # single per-step test whether profiling or tracing: keeps the
-        # disabled path as cheap as the profiling-only loop always was
-        track = counts is not None or hook is not None
         fm = self.fault_model
         cf_mode = fm == "cf"
         flip = _set_value if fm == "set" else _flip_value
@@ -274,11 +265,8 @@ class IRInterpreter(Simulator):
             if self.dyn_total > self.max_steps:
                 raise SimTrap("step-budget",
                               f"exceeded {self.max_steps} steps")
-            if track:
-                if counts is not None:
-                    counts[inst.iid] += 1
-                if hook is not None:
-                    hook(inst, frame)
+            if hook is not None:
+                hook(inst, frame)
 
             op = inst.opcode
 
@@ -367,14 +355,14 @@ class IRInterpreter(Simulator):
             from .decode import decode_module
 
             frame, stack = self._enter(
-                start, decode_module(self.module, self.layout).functions)
+                start, decode_module(self.module, self.layout,
+                                     self.fault_model).functions)
         else:
             # a resume runs the decoded code its snapshot frames carry,
             # so it skips the module fingerprint walk of decode_module
             frame, stack = self._restore(resume_from)
         self._armed = True
-        return self._decoded_loop()(frame, stack, checkpoints,
-                                    checkpoint_cb)
+        return self._run_decoded(frame, stack, checkpoints, checkpoint_cb)
 
     def _enter(self, start, functions):
         """``(frame, stack)`` of a fresh run of ``start`` over decoded
@@ -386,27 +374,22 @@ class IRInterpreter(Simulator):
         frame.block, frame.code = functions[entry_fn].entry_pair
         return frame, []
 
-    def _decoded_loop(self):
-        """The decoded loop of the fault model: cf faults have their own
-        sibling so the SEU/SET hot path pays nothing for them."""
-        return (self._run_decoded_cf if self.fault_model == "cf"
-                else self._run_decoded)
-
     def _run_decoded(self, frame: _Frame, stack: List[_Frame],
                      watch: Optional[Sequence[int]] = None,
                      watch_cb=None):
-        """The pre-decoded dispatch loop.
+        """The pre-decoded dispatch loop, for every fault model.
 
-        Entries are ``(kind, payload, iid, inst)`` tuples (see
-        :mod:`repro.interp.decode`); kinds 0 and 1 allocate injectable
-        dynamic indices exactly as the naive loop does.
+        Entries are ``(kind, payload, iid, inst)`` tuples decoded under
+        the fault model's site rule (see :mod:`repro.interp.decode`);
+        kinds ``<= 1`` allocate injectable dynamic indices exactly as
+        the naive loop does.  The cf-rule kinds come last in the test
+        chain: SEU/SET steps run the code they always ran, and a call
+        pays one extra comparison.
         """
         stack_limit = self.memory.stack_limit
         max_call_depth = self.max_call_depth
-        counts = self._counts
         tracer = self.tracer
         hook = tracer.hook if tracer is not None else None
-        track = counts is not None or hook is not None
 
         dt = self.dyn_total
         inj = self.dyn_injectable
@@ -441,14 +424,11 @@ class IRInterpreter(Simulator):
                 if dt > max_steps:
                     raise SimTrap("step-budget",
                                   f"exceeded {max_steps} steps")
-                if track:
-                    if counts is not None:
-                        counts[e[2]] += 1
-                    if hook is not None:
-                        frame.index = i
-                        self.dyn_total = dt
-                        self.dyn_injectable = inj
-                        hook(e[3], frame)
+                if hook is not None:
+                    frame.index = i
+                    self.dyn_total = dt
+                    self.dyn_injectable = inj
+                    hook(e[3], frame)
 
                 if kind == 0:       # value producer (injection site)
                     r = e[1](self, frame)
@@ -493,7 +473,7 @@ class IRInterpreter(Simulator):
                         raise SimTrap("stack-overflow",
                                       f"@{frame.fn.name}")
                     frame.temps[e[2]] = sp
-                else:               # call (kind 1 with result, 3 void)
+                elif kind == 1 or kind == 3:    # call (1: a site)
                     p = e[1]
                     call_args = p[0](self, frame)
                     flip_bit = None
@@ -519,155 +499,24 @@ class IRInterpreter(Simulator):
                     block, code = dfn.entry_pair
                     frame = _Frame(
                         fn=dfn.fn, block=block, index=0, temps={},
-                        sp_save=sp_save,
-                        ret_target=e[2] if kind == 1 else None,
+                        sp_save=sp_save, ret_target=p[2],
                         arg_values=call_args, ret_flip_bit=flip_bit,
                         code=code,
                     )
                     i = 0
-        except IndexError:
-            raise IRError(
-                f"fell off block {frame.block.label} in @{frame.fn.name}"
-            ) from None
-        except KeyError as k:
-            raise IRError(
-                f"use of unevaluated %t{k.args[0]} in @{frame.fn.name}"
-            ) from None
-        finally:
-            self.dyn_total = dt
-            self.dyn_injectable = inj
-
-    def _run_decoded_cf(self, frame: _Frame, stack: List[_Frame],
-                        watch: Optional[Sequence[int]] = None,
-                        watch_cb=None):
-        """Pre-decoded dispatch loop under the control-flow fault model.
-
-        A dedicated sibling of :meth:`_run_decoded` so the SEU/SET hot
-        path pays nothing: here the injectable sites are ``br`` (kind 5)
-        and ``condbr`` (kind 6) — decode entry element 4 carries the
-        per-function block list for the redirect — while value
-        producers and calls allocate no indices at all.
-        """
-        stack_limit = self.memory.stack_limit
-        max_call_depth = self.max_call_depth
-        counts = self._counts
-        tracer = self.tracer
-        hook = tracer.hook if tracer is not None else None
-        track = counts is not None or hook is not None
-
-        dt = self.dyn_total
-        inj = self.dyn_injectable
-        max_steps = self.max_steps
-        target = self.inject_index if self.inject_index is not None else -1
-        inject_bit = self.inject_bit
-
-        watch_iter = iter(watch) if watch is not None else None
-        next_watch = (next(watch_iter, None)
-                      if watch_iter is not None else None)
-
-        code = frame.code
-        i = frame.index
-        try:
-            while True:
-                e = code[i]
-                kind = e[0]
-
-                if (next_watch is not None and (kind == 5 or kind == 6)
-                        and inj == next_watch):
-                    frame.index = i
-                    self.dyn_total = dt
-                    self.dyn_injectable = inj
-                    watch_cb(next_watch, self._snapshot(stack, frame))
-                    next_watch = next(watch_iter, None)
-                    if next_watch is None:
-                        raise CheckpointsDone()
-
-                i += 1
-                dt += 1
-                if dt > max_steps:
-                    raise SimTrap("step-budget",
-                                  f"exceeded {max_steps} steps")
-                if track:
-                    if counts is not None:
-                        counts[e[2]] += 1
-                    if hook is not None:
-                        frame.index = i
-                        self.dyn_total = dt
-                        self.dyn_injectable = inj
-                        hook(e[3], frame)
-
-                if kind == 0:       # value producer (not a cf site)
+                elif kind == 8:     # value producer (not a cf site)
                     frame.temps[e[2]] = e[1](self, frame)
-                elif kind == 5:     # br (injection site)
-                    if inj == target:
-                        pairs = e[4]
-                        pair = pairs[inject_bit % len(pairs)]
-                        self._note_cf_edge(frame, e[3], e[1][0], pair[0])
-                        frame.block, code = pair
+                else:               # br (-1) / condbr (-2): a cf site
+                    if kind == -1:
+                        pair = e[1]
                     else:
-                        frame.block, code = e[1]
-                    inj += 1
-                    frame.code = code
-                    i = 0
-                elif kind == 6:     # condbr (injection site)
-                    p = e[1]
-                    normal = p[1] if p[0](self, frame) else p[2]
+                        p = e[1]
+                        pair = p[1] if p[0](self, frame) else p[2]
                     if inj == target:
-                        pairs = e[4]
-                        pair = pairs[inject_bit % len(pairs)]
-                        self._note_cf_edge(frame, e[3], normal[0], pair[0])
-                        frame.block, code = pair
-                    else:
-                        frame.block, code = normal
+                        pair = self._redirect(frame, e, pair)
                     inj += 1
+                    frame.block, code = pair
                     frame.code = code
-                    i = 0
-                elif kind == 2:     # store / void intrinsic / raiser
-                    e[1](self, frame)
-                elif kind == 4:     # ret (never flipped under cf)
-                    p = e[1]
-                    rv = p(self, frame) if p is not None else None
-                    self.sp = frame.sp_save
-                    if not stack:
-                        return rv
-                    tgt = frame.ret_target
-                    frame = stack.pop()
-                    code = frame.code
-                    i = frame.index
-                    if tgt is not None:
-                        frame.temps[tgt] = rv
-                elif kind == 7:     # alloca
-                    sp = (self.sp - e[1]) & ~7
-                    self.sp = sp
-                    if sp < stack_limit:
-                        raise SimTrap("stack-overflow",
-                                      f"@{frame.fn.name}")
-                    frame.temps[e[2]] = sp
-                else:               # call (results never flipped under cf)
-                    p = e[1]
-                    call_args = p[0](self, frame)
-                    dfn = p[1]
-                    if len(stack) >= max_call_depth:
-                        raise SimTrap(
-                            "stack-overflow",
-                            f"call depth {max_call_depth} exceeded "
-                            f"calling @{dfn.fn.name}")
-                    sp_save = self.sp
-                    sp = sp_save - 16
-                    self.sp = sp
-                    if sp < stack_limit:
-                        raise SimTrap("stack-overflow",
-                                      f"calling @{dfn.fn.name}")
-                    frame.index = i
-                    stack.append(frame)
-                    block, code = dfn.entry_pair
-                    frame = _Frame(
-                        fn=dfn.fn, block=block, index=0, temps={},
-                        sp_save=sp_save,
-                        ret_target=e[2] if kind == 1 else None,
-                        arg_values=call_args, ret_flip_bit=None,
-                        code=code,
-                    )
                     i = 0
         except IndexError:
             raise IRError(
@@ -727,7 +576,6 @@ class IRInterpreter(Simulator):
         max_call_depth = self.max_call_depth
         fns = gm.functions
         flip = _set_value if self.fault_model == "set" else _flip_value
-        decoded_loop = self._decoded_loop()
         try:
             r = self._careful_step(frame, stack, c,
                                    fns[frame.fn]) if careful else None
@@ -776,7 +624,7 @@ class IRInterpreter(Simulator):
                     self.dyn_total = c[0]
                     self.dyn_injectable = c[1]
                     try:
-                        return decoded_loop(frame, stack)
+                        return self._run_decoded(frame, stack)
                     finally:
                         c[0] = self.dyn_total
                         c[1] = self.dyn_injectable
@@ -795,16 +643,13 @@ class IRInterpreter(Simulator):
                       gf) -> tuple:
         """Execute decoded entries of a mid-chunk frame until the next
         control transfer (which always lands on a chunk boundary),
-        mirroring the decoded loops' counter and injection semantics
-        under every fault model: value producers and calls with a
-        result are the sites under SEU/SET, ``br``/``condbr`` (with
-        the redirect) under cf.  Returns a codegen driver action:
-        ``(1, rv)``, ``(2, ...)`` or ``(3,)`` after positioning
-        ``frame`` at a block start."""
+        mirroring the decoded loop's counter and injection semantics:
+        the entry kinds carry the fault model's site rule.  Returns a
+        codegen driver action: ``(1, rv)``, ``(2, ...)`` or ``(3,)``
+        after positioning ``frame`` at a block start."""
         dt, inj, target, inject_bit = c
         max_steps = self.max_steps
         stack_limit = self.memory.stack_limit
-        cf_mode = self.fault_model == "cf"
         flip = _set_value if self.fault_model == "set" else _flip_value
         code = frame.code
         i = frame.index
@@ -819,26 +664,23 @@ class IRInterpreter(Simulator):
                                   f"exceeded {max_steps} steps")
                 if kind == 0:
                     r = e[1](self, frame)
-                    if not cf_mode:
-                        if inj == target:
-                            r = flip(r, e[3].type, inject_bit)
-                            self.injected = True
-                            self.injected_iid = e[2]
-                        inj += 1
+                    if inj == target:
+                        r = flip(r, e[3].type, inject_bit)
+                        self.injected = True
+                        self.injected_iid = e[2]
+                    inj += 1
                     frame.temps[e[2]] = r
-                elif kind == 5 or kind == 6:
-                    if kind == 5:
-                        pair = e[1]
+                elif kind == 8:
+                    frame.temps[e[2]] = e[1](self, frame)
+                elif kind == 5 or kind == 6 or kind < 0:
+                    p = e[1]
+                    if kind == 5 or kind == -1:
+                        pair = p
                     else:
-                        p = e[1]
                         pair = p[1] if p[0](self, frame) else p[2]
-                    if cf_mode:
+                    if kind < 0:    # a cf site
                         if inj == target:
-                            pairs = e[4]
-                            normal = pair
-                            pair = pairs[inject_bit % len(pairs)]
-                            self._note_cf_edge(frame, e[3], normal[0],
-                                               pair[0])
+                            pair = self._redirect(frame, e, pair)
                         inj += 1
                     frame.block, frame.code = pair
                     frame.index = 0
@@ -857,18 +699,17 @@ class IRInterpreter(Simulator):
                         raise SimTrap("stack-overflow",
                                       f"@{frame.fn.name}")
                     frame.temps[e[2]] = sp
-                else:               # call (kind 1 with result, 3 void)
+                else:               # call (kind 1 a site, 3 not)
                     p = e[1]
                     call_args = p[0](self, frame)
                     flip_bit = None
-                    if kind == 1 and not cf_mode:
+                    if kind == 1:
                         if inj == target:
                             flip_bit = inject_bit
                             self.injected_iid = e[2]
                         inj += 1
                     frame.index = i
-                    return (2, p[1], call_args,
-                            e[2] if kind == 1 else None, flip_bit,
+                    return (2, p[1], call_args, p[2], flip_bit,
                             gf.entry_bb[(frame.block, i)])
         except IndexError:
             raise IRError(
@@ -940,6 +781,14 @@ class IRInterpreter(Simulator):
             ret_target=ret_target,
             arg_values=list(args),
         )
+
+    def _redirect(self, frame: _Frame, e: tuple, normal: tuple) -> tuple:
+        """The decoded tiers' cf fault at branch entry ``e``: the
+        uniformly drawn (block, code) pair replacing ``normal``."""
+        pairs = e[4]
+        pair = pairs[self.inject_bit % len(pairs)]
+        self._note_cf_edge(frame, e[3], normal[0], pair[0])
+        return pair
 
     def _note_cf_edge(self, frame: _Frame, inst: Instruction,
                       normal: BasicBlock, redirect: BasicBlock) -> None:
@@ -1212,7 +1061,6 @@ def run_ir(
     layout: Optional[GlobalLayout] = None,
     inject_index: Optional[int] = None,
     inject_bit: int = 0,
-    profile: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     trace=None,
     dispatch: str = "decoded",
@@ -1227,5 +1075,4 @@ def run_ir(
         args=args,
         inject_index=inject_index,
         inject_bit=inject_bit,
-        profile=profile,
     )

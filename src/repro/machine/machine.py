@@ -380,9 +380,6 @@ class AsmMachine(Simulator):
 
         return MachineTracer
 
-    def _profile_slots(self) -> int:
-        return len(self.program.uops)
-
     def _finish(self, value):
         if self.injected_index is None:
             return {"injected_iid": None}, {}
@@ -435,12 +432,8 @@ class AsmMachine(Simulator):
         depth = 0
         max_call_depth = self.max_call_depth
         max_steps = self.max_steps
-        counts = self._counts
         tracer = self.tracer
         hook = tracer.hook if tracer is not None else None
-        # single per-step test whether profiling or tracing: keeps the
-        # disabled path as cheap as the profiling-only loop always was
-        track = counts is not None or hook is not None
 
         target = inject_index if inject_index is not None else -1
         injected = False
@@ -457,11 +450,8 @@ class AsmMachine(Simulator):
                     self.dyn_injectable = injectable
                     raise SimTrap("step-budget",
                                   f"exceeded {max_steps} steps")
-                if track:
-                    if counts is not None:
-                        counts[pc] += 1
-                    if hook is not None:
-                        hook(pc, regs, xmm)
+                if hook is not None:
+                    hook(pc, regs, xmm)
 
                 code = u[0]
                 cur = pc
@@ -801,10 +791,8 @@ class AsmMachine(Simulator):
                       if watch_iter is not None else None)
 
         max_steps = self.max_steps
-        counts = self._counts
         tracer = self.tracer
         hook = tracer.hook if tracer is not None else None
-        track = counts is not None or hook is not None
 
         target = self.inject_index if self.inject_index is not None else -1
         injected = self.injected
@@ -834,11 +822,8 @@ class AsmMachine(Simulator):
                     self.dyn_injectable = injectable
                     raise SimTrap("step-budget",
                                   f"exceeded {max_steps} steps")
-                if track:
-                    if counts is not None:
-                        counts[pc] += 1
-                    if hook is not None:
-                        hook(pc, regs, xmm)
+                if hook is not None:
+                    hook(pc, regs, xmm)
                 cur = pc
                 try:
                     pc = f(st)
@@ -1065,7 +1050,6 @@ def run_asm(
     layout: GlobalLayout,
     inject_index: Optional[int] = None,
     inject_bit: int = 0,
-    profile: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     trace=None,
     dispatch: str = "decoded",
@@ -1074,6 +1058,4 @@ def run_asm(
     """Convenience wrapper: fresh machine, one execution."""
     machine = AsmMachine(program, layout, max_steps=max_steps, trace=trace,
                          dispatch=dispatch, fault_model=fault_model)
-    return machine.run(
-        inject_index=inject_index, inject_bit=inject_bit, profile=profile
-    )
+    return machine.run(inject_index=inject_index, inject_bit=inject_bit)

@@ -61,9 +61,10 @@ class BuiltProgram:
     def run_asm(self, **kwargs) -> ExecResult:
         trace = kwargs.pop("trace", None)
         if trace is not None:
-            from .trace.tap import MachineTracer
+            from .trace import MachineTracer, TraceConfig
 
-            if not isinstance(trace, MachineTracer):
+            if isinstance(trace, TraceConfig):
+                # the module gives call and ret events their payloads
                 trace = MachineTracer(trace, module=self.module)
         machine = AsmMachine(
             self.compiled,

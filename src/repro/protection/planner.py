@@ -32,6 +32,7 @@ from ..interp.decode import _fingerprint
 from ..interp.interpreter import IRInterpreter
 from ..interp.layout import GlobalLayout
 from ..ir.module import Module
+from ..trace.tap import IRCountTap
 from .duplication import duplicable_instructions
 
 __all__ = ["SdcProfile", "ProtectionPlan", "profile_module", "plan_protection",
@@ -83,19 +84,22 @@ _GOLDEN_CACHE: "weakref.WeakKeyDictionary[Module, Tuple]" = \
 
 
 def _golden_profile(module: Module, layout: GlobalLayout):
-    """One profiled golden execution per (module, structure) pair; the
-    decode caches' fingerprint invalidates it on in-place mutation."""
+    """One counted golden execution per (module, structure) pair: the
+    result and its per-iid dynamic counts.  The decode caches'
+    fingerprint invalidates it on in-place mutation."""
     fp = _fingerprint(module)
     cached = _GOLDEN_CACHE.get(module)
     if cached is not None and cached[0] == fp:
         return cached[1]
-    golden = IRInterpreter(module, layout=layout).run(profile=True)
+    tap = IRCountTap()
+    golden = IRInterpreter(module, layout=layout, trace=tap).run()
     if golden.status is not RunStatus.OK:
         raise PlanError(
             f"golden run failed: {golden.status} {golden.trap_kind}"
         )
-    _GOLDEN_CACHE[module] = (fp, golden)
-    return golden
+    profile = (golden, tap.counts)
+    _GOLDEN_CACHE[module] = (fp, profile)
+    return profile
 
 
 def profile_module(
@@ -118,7 +122,7 @@ def profile_module(
     from ..fi.campaign import CampaignConfig, run_ir_campaign
 
     layout = layout or GlobalLayout(module)
-    golden = _golden_profile(module, layout)
+    golden, dyn_counts = _golden_profile(module, layout)
     campaign = run_ir_campaign(
         module,
         CampaignConfig(n_campaigns=n_campaigns, seed=seed,
@@ -131,7 +135,7 @@ def profile_module(
         if rec.iid is not None:
             sdc_counts[rec.iid] = sdc_counts.get(rec.iid, 0) + 1
     return SdcProfile(
-        dyn_counts=dict(golden.per_inst_counts or {}),
+        dyn_counts=dict(dyn_counts),
         sdc_counts=sdc_counts,
         campaigns=n_campaigns,
         sdc_total=len(sdcs),

@@ -7,26 +7,28 @@ execute.  Everything else about a run is written once here, in the
 
 * the dispatch tiers (:data:`TIERS`) and the **routing rule**: decoded
   serves every run; codegen serves plain runs and resumes and hands
-  checkpointing, profiling and traced runs to decoded (generated code
-  has no per-step tap points); naive refuses ``resume_from`` and
+  checkpointing and tapped runs to decoded (generated code has no
+  per-step tap points); naive refuses ``resume_from`` and
   ``checkpoints`` (only :data:`SNAPSHOT_TIERS` capture and resume);
+* the **tap**: the one per-step observer a run may carry (a tracer, a
+  site enumerator or a step counter, see :mod:`repro.trace.tap`);
 * the fault-model check and the containment budgets (DESIGN §11):
   call depth, memory image size, output bytes;
 * the **outcome mapping** — a checkpointing run that stopped early, a
   checker that fired, a simulated trap, and the host-escape boundary,
   whose record comes from :func:`repro.contain.host_escape_record`;
-* **result assembly**: the profile dict and the ``trace``,
-  ``early_stop``, ``host_escape`` and ``cf_edge`` extras;
+* **result assembly**: the ``trace``, ``early_stop``, ``host_escape``
+  and ``cf_edge`` extras;
 * the :class:`Snapshot` base and the restore preamble every resume
   runs (:meth:`Simulator._resume`).
 
 A layer supplies its execution cores — ``_naive(start)``,
 ``_decoded(start, resume_from, checkpoints, checkpoint_cb)`` and
 ``_codegen(start, resume_from)``, each returning the entry's return
-value — plus ``_tracer_class()``, ``_profile_slots()`` (the size of the
-profile array) and ``_finish(value)``, which closes the run and
-returns the layer's own ``ExecResult`` fields and ``extra`` entries.
-``start`` is the layer's entry point (the IR's entry function and
+value — plus ``_tracer_class()`` (the layer's tracer, built from a
+:class:`~repro.trace.events.TraceConfig`) and ``_finish(value)``, which
+closes the run and returns the layer's own ``ExecResult`` fields and
+``extra`` entries.  ``start`` is the layer's entry point (the IR's entry function and
 arguments; unused by the machine).
 """
 
@@ -126,24 +128,22 @@ class Simulator:
         self.injected = False
         #: forensics for a control-flow fault: the corrupted edge
         self._cf_edge: Optional[Dict[str, object]] = None
-        # profiling state: preallocated per-site array while running,
-        # converted to the public dict form at run end
-        self.per_inst_counts: Optional[Dict[int, int]] = None
-        self._counts: Optional[List[int]] = None
-        # trace tap (off by default; see repro.trace) — accepts a
-        # TraceConfig or a ready tracer of the layer's tracer class
+        # the per-step tap (off by default; see repro.trace.tap): a
+        # TraceConfig builds the layer's tracer, any other tap is used
+        # as given
         self.tracer = None
         if trace is not None:
-            cls = self._tracer_class()
-            tracer = trace if isinstance(trace, cls) else cls(trace)
-            tracer.attach(self)
-            self.tracer = tracer
+            from .trace.events import TraceConfig
+
+            if isinstance(trace, TraceConfig):
+                trace = self._tracer_class()(trace)
+            trace.attach(self)
+            self.tracer = trace
 
     def run(
         self,
         inject_index: Optional[int] = None,
         inject_bit: int = 0,
-        profile: bool = False,
         resume_from: Optional[Snapshot] = None,
         checkpoints: Optional[Sequence[int]] = None,
         checkpoint_cb=None,
@@ -152,8 +152,9 @@ class Simulator:
 
         ``inject_index`` selects the N-th injectable dynamic site
         (0-based) of the fault model, ``inject_bit`` the fault
-        coordinate.  ``profile=True`` additionally records per-static-
-        site dynamic execution counts.
+        coordinate.  Per-step observation (tracing, site enumeration,
+        dynamic instruction counts) is a tap passed to the constructor
+        as ``trace=``; see :mod:`repro.trace.tap`.
 
         Checkpoint-replay runs on either snapshot tier (decoded or
         codegen; naive refuses it): ``checkpoints`` is a sorted list of
@@ -164,11 +165,11 @@ class Simulator:
         the decoded core whatever the tier.  ``resume_from`` restores a
         snapshot and executes only the suffix.
         """
-        return self._run(None, inject_index, inject_bit, profile,
-                         resume_from, checkpoints, checkpoint_cb)
+        return self._run(None, inject_index, inject_bit, resume_from,
+                         checkpoints, checkpoint_cb)
 
     def _run(self, start, inject_index: Optional[int], inject_bit: int,
-             profile: bool, resume_from: Optional[Snapshot],
+             resume_from: Optional[Snapshot],
              checkpoints: Optional[Sequence[int]],
              checkpoint_cb) -> ExecResult:
         """Route to a tier, map the outcome, assemble the result."""
@@ -183,14 +184,11 @@ class Simulator:
         self.inject_bit = inject_bit
         self._cf_edge = None
         self._armed = False
-        if profile:
-            self._counts = [0] * self._profile_slots()
         if tier == "codegen" and (checkpoints is not None
-                                  or self._counts is not None
                                   or self.tracer is not None):
             # generated code has no per-step tap points: snapshot
-            # streaming, profiling and tracing run the bit-identical
-            # decoded core; plain runs and resumes stay on codegen
+            # streaming and tapped runs run the bit-identical decoded
+            # core; plain runs and resumes stay on codegen
             tier = "decoded"
         early = False
         escape = None
@@ -223,10 +221,6 @@ class Simulator:
             escape = host_escape_record(exc, self.layer, self.dyn_total,
                                         self.dyn_injectable)
         fields, extra = self._finish(value)
-        if self._counts is not None:
-            self.per_inst_counts = {
-                i: c for i, c in enumerate(self._counts) if c
-            }
         if self.tracer is not None:
             extra["trace"] = self.tracer.trace
         if early:
@@ -242,7 +236,6 @@ class Simulator:
             dyn_injectable=self.dyn_injectable,
             trap_kind=trap,
             injected=self.injected,
-            per_inst_counts=self.per_inst_counts,
             extra=extra,
             **fields,
         )

@@ -80,6 +80,7 @@ from ..protection.planner import (
     profile_module,
     validate_plan,
 )
+from ..trace.tap import IRCountTap
 
 __all__ = [
     "WITNESS_SOURCE",
@@ -296,15 +297,15 @@ class _Context:
         self.config = config
         self.ref_module = compile_source(config.source, "witness")
         self.ref_layout = GlobalLayout(self.ref_module)
-        golden = IRInterpreter(self.ref_module, layout=self.ref_layout).run(
-            profile=True
-        )
+        tap = IRCountTap()
+        golden = IRInterpreter(self.ref_module, layout=self.ref_layout,
+                               trace=tap).run()
         if golden.status is not RunStatus.OK:
             raise ValueError(
                 f"witness program does not run clean: {golden.status}"
             )
         self.reference_output = golden.output
-        self.dyn_counts: Dict[int, int] = dict(golden.per_inst_counts or {})
+        self.dyn_counts: Dict[int, int] = tap.counts
         self.full: Set[int] = {
             i.iid for i in duplicable_instructions(self.ref_module)
         }

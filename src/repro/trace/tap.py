@@ -1,16 +1,31 @@
-"""Trace taps for the two execution layers.
+"""Per-step taps for the two execution layers.
 
-Both tracers are *observers*: they piggyback on the per-step tracking
-hook the simulators already expose for profiling, so a disabled tap
-adds zero per-instruction work to the hot loops (the simulators test a
-single pre-hoisted local, exactly as they already did for profiling).
-This holds for both dispatch modes — the naive opcode ladders and the
-pre-decoded closure loops hoist the same ``track``/``hook`` locals, so
-attaching a tracer never changes which decoded code runs, only whether
-the per-step callback fires.
+A *tap* is the one per-step observation mechanism of both simulators:
+pass it to the constructor as ``trace=`` and every core calls its
+``hook`` once per dynamic step, *before* the step executes — the IR
+layer as ``hook(inst, frame)``, the machine as ``hook(pc, regs, xmm)``.
+Each core hoists the hook into a local and tests ``hook is not None``
+once per step, so an untapped run pays one local test.  A tapped run on
+the codegen tier is served by the decoded core (generated code has no
+per-step tap points); naive and decoded call the hook at the same
+steps.  The simulator calls ``attach(sim)`` once at construction and
+``finish`` at run end (IR: no arguments; machine: the final ``regs``
+and ``xmm``), and reports the tap's ``trace`` as the run's
+``extra["trace"]``.
 
-Both tracers emit the cross-layer-comparable sync events documented in
-:mod:`repro.trace.events`:
+The taps here:
+
+* :class:`IRTracer` / :class:`MachineTracer` record the
+  cross-layer-comparable sync events documented in
+  :mod:`repro.trace.events` (a :class:`~repro.trace.events.TraceConfig`
+  passed as ``trace=`` builds the layer's tracer);
+* :class:`IRCountTap` / :class:`MachineCountTap` count the dynamic
+  executions of every static instruction (IR iid / asm pc), the dynamic
+  profile the protection planner and the mutation suite read;
+* the site taps of :mod:`repro.fi.sections` record every dynamic
+  injectable site.
+
+Tracer details:
 
 * the **IR tracer** evaluates sync operands straight from the
   interpreter's value environment, *before* the instruction executes;
@@ -22,8 +37,8 @@ Both tracers emit the cross-layer-comparable sync events documented in
   the not-taken direction, so exactly one ``jump`` event is emitted
   per executed IR terminator.
 
-A tracer is single-use: attach it to one simulator instance, run once,
-then read ``tracer.trace``.
+A tap is single-use: attach it to one simulator instance, run once,
+then read its result (``tracer.trace``, ``counter.counts``).
 """
 
 from __future__ import annotations
@@ -34,7 +49,8 @@ from ..backend.isa import GPRS, Role
 from ..ir.instructions import Call, CondBr, Store
 from .events import StepRecord, SyncEvent, Trace, TraceConfig, f64_bits
 
-__all__ = ["IRTracer", "MachineTracer"]
+__all__ = ["Tap", "IRTracer", "MachineTracer", "IRCountTap",
+           "MachineCountTap"]
 
 _MASK64 = (1 << 64) - 1
 _GPR_INDEX = {name: i for i, name in enumerate(GPRS)}
@@ -44,7 +60,54 @@ _XMM_INDEX = {f"xmm{i}": i for i in range(16)}
 _IR_SYNC_OPS = frozenset(["store", "br", "condbr", "call", "ret"])
 
 
-class _TracerBase:
+class Tap:
+    """Base of every tap: no-op ``attach``/``finish`` and no trace.
+    Subclasses define ``hook`` with their layer's signature."""
+
+    #: what the tapped run reports as ``extra["trace"]``
+    trace = None
+
+    def attach(self, sim) -> None:
+        pass
+
+    def finish(self, *state) -> None:
+        pass
+
+
+class _CountTap(Tap):
+    """Dynamic execution count per static id: ``counts`` maps each
+    executed id to its steps, in ascending id order."""
+
+    _counts: List[int]
+
+    @property
+    def counts(self) -> Dict[int, int]:
+        return {i: c for i, c in enumerate(self._counts) if c}
+
+
+class IRCountTap(_CountTap):
+    """Counts every IR instruction by iid."""
+
+    def attach(self, interp) -> None:
+        self._counts = [0] * (max(
+            (inst.iid for inst in interp.module.instructions()),
+            default=0) + 1)
+
+    def hook(self, inst, frame) -> None:
+        self._counts[inst.iid] += 1
+
+
+class MachineCountTap(_CountTap):
+    """Counts every asm instruction by pc."""
+
+    def attach(self, machine) -> None:
+        self._counts = [0] * len(machine.program.uops)
+
+    def hook(self, pc, regs, xmm) -> None:
+        self._counts[pc] += 1
+
+
+class _TracerBase(Tap):
     """Shared sync/step bookkeeping."""
 
     def __init__(self, config: Optional[TraceConfig] = None):

@@ -7,6 +7,7 @@ from repro.analysis.asmstats import (
 from repro.backend.isa import Role
 from repro.machine.machine import run_asm
 from repro.pipeline import build
+from repro.trace.tap import MachineCountTap
 
 
 class TestStaticStats:
@@ -44,7 +45,8 @@ class TestStaticStats:
 class TestDynamicHistogram:
     def test_histogram_matches_profile(self):
         built = build("crc32", scale="tiny")
-        res = run_asm(built.compiled, built.layout, profile=True)
-        hist = dynamic_role_histogram(built.compiled, res.per_inst_counts)
+        tap = MachineCountTap()
+        res = run_asm(built.compiled, built.layout, trace=tap)
+        hist = dynamic_role_histogram(built.compiled, tap.counts)
         assert sum(hist.values()) == res.dyn_total
         assert Role.MAIN in hist

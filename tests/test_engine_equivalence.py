@@ -22,6 +22,7 @@ from repro.machine.machine import AsmMachine, CompiledProgram
 from repro.memorymodel import Memory
 from repro.pipeline import build, build_from_source
 from repro.protection.duplication import duplicate_module
+from repro.trace.tap import IRCountTap, MachineCountTap
 
 SRC = """
 int data[8] = {4, 2, 7, 1, 9, 3, 8, 6};
@@ -41,17 +42,17 @@ def _res_sig(res):
     extra = {k: v for k, v in res.extra.items() if k != "trace"}
     return (res.status.value, res.output, res.dyn_total,
             res.dyn_injectable, res.trap_kind, res.injected,
-            res.injected_iid, res.per_inst_counts, extra)
+            res.injected_iid, extra)
 
 
-def _ir(built, dispatch, **kw):
+def _ir(built, dispatch, trace=None, **kw):
     return IRInterpreter(built.module, layout=built.layout,
-                         dispatch=dispatch).run(**kw)
+                         dispatch=dispatch, trace=trace).run(**kw)
 
 
-def _asm(built, dispatch, **kw):
+def _asm(built, dispatch, trace=None, **kw):
     return AsmMachine(built.compiled, built.layout,
-                      dispatch=dispatch).run(**kw)
+                      dispatch=dispatch, trace=trace).run(**kw)
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +68,16 @@ def built_protected():
 class TestDispatchEquivalence:
     """Decoded dispatch is a pure compilation of the naive ladders."""
 
-    @pytest.mark.parametrize("runner", [_ir, _asm], ids=["ir", "asm"])
-    def test_golden_run_identical(self, built, runner):
-        naive = runner(built, "naive", profile=True)
-        decoded = runner(built, "decoded", profile=True)
+    @pytest.mark.parametrize("runner,counter",
+                             [(_ir, IRCountTap), (_asm, MachineCountTap)],
+                             ids=["ir", "asm"])
+    def test_golden_run_identical(self, built, runner, counter):
+        naive_counts, decoded_counts = counter(), counter()
+        naive = runner(built, "naive", trace=naive_counts)
+        decoded = runner(built, "decoded", trace=decoded_counts)
         assert _res_sig(naive) == _res_sig(decoded)
-        assert naive.per_inst_counts  # profiling actually ran
+        assert naive_counts.counts == decoded_counts.counts
+        assert naive_counts.counts  # profiling actually ran
 
     @pytest.mark.parametrize("runner", [_ir, _asm], ids=["ir", "asm"])
     def test_injections_identical(self, built, runner):

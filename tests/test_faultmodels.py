@@ -230,7 +230,10 @@ class TestTierEquivalence:
         golden = _sim(built_dup_cfc, layer, "naive", fault_model).run()
         n_inj = golden.dyn_injectable
         assert n_inj > 0
-        sites = sorted({0, n_inj // 3, n_inj // 2, n_inj - 1})
+        if fault_model == "cf":
+            sites = range(n_inj)
+        else:
+            sites = sorted({0, n_inj // 3, n_inj // 2, n_inj - 1})
         bits = (0, 17, 63) if fault_model == "set" else (1, 977, 123_456)
         for idx in sites:
             for bit in bits:
@@ -243,6 +246,28 @@ class TestTierEquivalence:
                     f"{layer}/{fault_model} decoded idx={idx} bit={bit}"
                 assert _res_sig(runs[0]) == _res_sig(runs[2]), \
                     f"{layer}/{fault_model} codegen idx={idx} bit={bit}"
+
+    @pytest.mark.parametrize("layer", ["ir", "asm"])
+    def test_cf_resume_at_every_site(self, built_dup_cfc, layer):
+        """Both snapshot tiers resume a cf injection from the checkpoint
+        right before each site, bit-identically to a full naive run."""
+        n_inj = _sim(built_dup_cfc, layer, "naive", "cf").run() \
+            .dyn_injectable
+        snaps = {}
+        _sim(built_dup_cfc, layer, "decoded", "cf").run(
+            checkpoints=list(range(n_inj)), checkpoint_cb=snaps.__setitem__)
+        assert sorted(snaps) == list(range(n_inj))
+        replayers = {d: _sim(built_dup_cfc, layer, d, "cf")
+                     for d in ("decoded", "codegen")}
+        for idx in range(n_inj):
+            bit = (1, 977, 123_456)[idx % 3]
+            full = _sim(built_dup_cfc, layer, "naive", "cf").run(
+                inject_index=idx, inject_bit=bit)
+            for d, sim in replayers.items():
+                res = sim.run(resume_from=snaps[idx], inject_index=idx,
+                              inject_bit=bit)
+                assert _res_sig(res) == _res_sig(full), \
+                    f"{layer}/cf {d} resume idx={idx} bit={bit}"
 
     def test_cf_injectable_universe_is_smaller(self, built):
         seu = _sim(built, "ir", "naive", "seu").run()

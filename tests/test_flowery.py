@@ -18,6 +18,7 @@ from repro.protection.flowery import (
     apply_flowery,
     postponed_branch_check,
 )
+from repro.trace.tap import MachineCountTap
 
 BRANCHY = """
 int a = 1;
@@ -81,7 +82,7 @@ class TestPostponedBranch:
         compiled = compile_program(asm.flatten())
         golden = run_asm(compiled, layout)
         # find dynamic indices of br-test instructions and flip ZF there
-        res = run_asm(compiled, layout, profile=True)
+        res = run_asm(compiled, layout, trace=MachineCountTap())
         test_sites = [
             idx for idx in compiled.injectable_static
             if compiled.inst_at(idx).role == Role.BR_TEST

@@ -11,6 +11,7 @@ from repro.ir import types as T
 from repro.ir.builder import IRBuilder
 from repro.ir.module import Module
 from repro.ir.types import function_type
+from repro.trace.tap import IRCountTap
 
 
 def run_minic(src: str, **kwargs):
@@ -193,8 +194,9 @@ class TestCounting:
         assert 0 < a.dyn_injectable < a.dyn_total
 
     def test_profile_counts_sum_to_total(self, sink_module):
-        res = run_ir(sink_module, profile=True)
-        assert sum(res.per_inst_counts.values()) == res.dyn_total
+        tap = IRCountTap()
+        res = run_ir(sink_module, trace=tap)
+        assert sum(tap.counts.values()) == res.dyn_total
 
     def test_stores_and_branches_not_injectable(self):
         src = """
@@ -206,9 +208,10 @@ int main() {
 }
 """
         module = compile_source(src)
-        res = run_ir(module, profile=True)
+        tap = IRCountTap()
+        res = run_ir(module, trace=tap)
         injectable_sites = sum(
-            res.per_inst_counts.get(i.iid, 0)
+            tap.counts.get(i.iid, 0)
             for i in module.instructions()
             if i.is_ir_injection_site
         )

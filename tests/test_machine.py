@@ -4,6 +4,7 @@ import pytest
 
 from repro.execresult import RunStatus
 from repro.machine.machine import AsmMachine, compile_program, run_asm
+from repro.trace.tap import MachineCountTap
 
 from tests.helpers import compile_and_build
 
@@ -109,14 +110,16 @@ class TestCounting:
 
     def test_profile_counts(self, sink_built):
         _, layout, _, compiled = sink_built
-        res = run_asm(compiled, layout, profile=True)
-        assert sum(res.per_inst_counts.values()) == res.dyn_total
+        tap = MachineCountTap()
+        res = run_asm(compiled, layout, trace=tap)
+        assert sum(tap.counts.values()) == res.dyn_total
 
     def test_injectable_static_sites_consistent(self, sink_built):
         _, layout, _, compiled = sink_built
-        res = run_asm(compiled, layout, profile=True)
+        tap = MachineCountTap()
+        res = run_asm(compiled, layout, trace=tap)
         dynamic_injectable = sum(
-            n for idx, n in res.per_inst_counts.items()
+            n for idx, n in tap.counts.items()
             if compiled.inj_kind[idx]
         )
         assert dynamic_injectable == res.dyn_injectable

@@ -6,9 +6,11 @@ from repro.errors import ReproError
 from repro.fi.campaign import _Layer
 from repro.pipeline import build
 from repro.simulator import SNAPSHOT_TIERS, TIERS, Snapshot
+from repro.trace.tap import IRCountTap, MachineCountTap
 
 INDEX = 5
 BIT = 3
+COUNTERS = {"ir": IRCountTap, "asm": MachineCountTap}
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,7 @@ ROUTES = [
     ("decoded", "resume_from", "served"),
     ("codegen", "checkpoints", "served"),
     ("codegen", "resume_from", "served"),
+    ("codegen", "tap", "served"),
 ]
 
 
@@ -44,14 +47,18 @@ def test_routing_rule(built, layer, tier, request_, expected):
     def keep(idx, snap):
         snaps.append(snap)
 
+    options = {}
     if request_ == "checkpoints":
         kwargs = {"checkpoints": [INDEX], "checkpoint_cb": keep}
+    elif request_ == "tap":
+        kwargs = {"inject_index": INDEX, "inject_bit": BIT}
+        options["trace"] = COUNTERS[layer]()
     else:
         adapter.simulator("decoded").run(checkpoints=[INDEX],
                                          checkpoint_cb=keep)
         kwargs = {"resume_from": snaps.pop(), "inject_index": INDEX,
                   "inject_bit": BIT}
-    sim = adapter.simulator(tier)
+    sim = adapter.simulator(tier, **options)
     if expected == "refused":
         # one message for both requests, naming both snapshot tiers
         with pytest.raises(ReproError, match="needs a snapshot tier") as exc:
@@ -69,8 +76,13 @@ def test_routing_rule(built, layer, tier, request_, expected):
         assert (snap.dyn_total, snap.dyn_injectable) == \
             (res.dyn_total, INDEX)
         return
-    full = adapter.simulator("naive").run(inject_index=INDEX,
-                                          inject_bit=BIT)
+    counter = COUNTERS[layer]()
+    full = adapter.simulator("naive", trace=counter).run(
+        inject_index=INDEX, inject_bit=BIT)
     assert (res.status, res.output, res.dyn_total, res.dyn_injectable,
             res.injected_iid) == (full.status, full.output, full.dyn_total,
                                   full.dyn_injectable, full.injected_iid)
+    if request_ == "tap":
+        # generated code calls no hook: naive's counts show that the
+        # decoded core served the tapped codegen run
+        assert sim.tracer.counts == counter.counts

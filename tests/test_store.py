@@ -405,6 +405,34 @@ class TestMaintenance:
         assert s["claims_live"] == 0
         assert s["corrupt"] == 0
 
+    def test_readers_agree_on_legacy_rows(self, tmp_path):
+        """One current row and one written before the ``pruned`` column
+        existed: the live store, ``store_stats`` and ``compact_store``
+        read both, the old one padded as a journal row is."""
+        path = str(tmp_path / "store.jsonl")
+        SectionProfileStore(path).close()
+        row = [4, 3, "ok", "42\n", 7, None, None, None, None, "seu", 0]
+        _append_raw(path, {"ev": "row", "k": "k1", "n": 2, "i": 0,
+                           "row": row})
+        _append_raw(path, {"ev": "row", "k": "k1", "n": 2, "i": 1,
+                           "row": row[:-1]})
+        with SectionProfileStore(path) as store:
+            live = store.partial_rows("k1", 2)
+        assert live == {0: tuple(row), 1: tuple(row)}
+        assert store_stats(path)["partial_rows"] == 2
+        assert compact_store(path)["docs_after"] == 3   # header + 2 rows
+        with SectionProfileStore(path) as store:
+            assert store.partial_rows("k1", 2) == live
+
+    def test_unknown_event_kinds_count_as_other(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        SectionProfileStore(path).close()
+        _append_raw(path, {"ev": ["row"], "k": "k1"})
+        _append_raw(path, {"ev": "note"})
+        with SectionProfileStore(path) as store:
+            assert not store.partial
+        assert store_stats(path)["events"]["other"] == 2
+
     def test_missing_store_is_loud(self, tmp_path):
         for fn in (verify_store, store_stats, compact_store):
             with pytest.raises(CampaignError, match="does not exist"):
