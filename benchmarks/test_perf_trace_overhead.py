@@ -8,11 +8,13 @@ sanity-checks the enabled modes (sync tracing should stay within a
 small constant factor, and the disabled path must never be slower than
 the enabled one).
 
-Timing comparisons on shared CI boxes are noisy, so the guard uses the
-median of many interleaved pairs and a small alignment slack on top of
-the 2% budget.
+Timing comparisons on shared CI boxes are noisy, so the guard takes
+the median per-pair ratio of many interleaved pairs (alternating which
+runner goes first, with the garbage collector paused while timing) and
+a small alignment slack on top of the 2% budget.
 """
 
+import gc
 import statistics
 import time
 
@@ -43,17 +45,30 @@ def _median_seconds(fn, rounds=ROUNDS):
     return statistics.median(times)
 
 
-def _paired_medians(baseline, candidate, rounds=ROUNDS):
-    """Interleave the two runners so drift hits both equally."""
-    base_times, cand_times = [], []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        baseline()
-        base_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        candidate()
-        cand_times.append(time.perf_counter() - t0)
-    return statistics.median(base_times), statistics.median(cand_times)
+def _paired_overhead(baseline, candidate, rounds=ROUNDS):
+    """Median over interleaved pairs of ``candidate / baseline - 1``.
+
+    Each pair times the two runners back to back, so drift hits both
+    alike; the first runner alternates between pairs, so neither side
+    always pays the warm-up; and the collector is paused while timing
+    (it runs between pairs instead), so its pauses land on neither."""
+    ratios = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(rounds):
+            gc.collect()
+            secs = {}
+            for fn in ((baseline, candidate) if i % 2 == 0
+                       else (candidate, baseline)):
+                t0 = time.perf_counter()
+                fn()
+                secs[fn] = time.perf_counter() - t0
+            ratios.append(secs[candidate] / secs[baseline])
+    finally:
+        if enabled:
+            gc.enable()
+    return statistics.median(ratios) - 1.0
 
 
 class TestDisabledOverhead:
@@ -73,8 +88,7 @@ class TestDisabledOverhead:
                 built.module, layout=built.layout, trace=None
             ).run().status.value == "ok"
 
-        base, cand = _paired_medians(baseline, disabled)
-        overhead = cand / base - 1.0
+        overhead = _paired_overhead(baseline, disabled)
         assert overhead < OVERHEAD_BUDGET + NOISE_SLACK, (
             f"disabled IR tracing overhead {overhead:.1%} "
             f"exceeds the <{OVERHEAD_BUDGET:.0%} guarantee"
@@ -93,8 +107,7 @@ class TestDisabledOverhead:
                 built.compiled, built.layout, trace=None
             ).run().status.value == "ok"
 
-        base, cand = _paired_medians(baseline, disabled)
-        overhead = cand / base - 1.0
+        overhead = _paired_overhead(baseline, disabled)
         assert overhead < OVERHEAD_BUDGET + NOISE_SLACK, (
             f"disabled asm tracing overhead {overhead:.1%} "
             f"exceeds the <{OVERHEAD_BUDGET:.0%} guarantee"

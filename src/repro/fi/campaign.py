@@ -331,12 +331,18 @@ def _draw(
             for p, c in zip(positions.tolist(), coords.tolist())]
 
 
+def _tier(engine: Optional[bool], dispatch: Optional[str]) -> str:
+    """The tier injections run on: the engine's snapshot tier
+    (``dispatch``, else ``REPRO_DISPATCH``), or ``"naive"`` when the
+    engine is off (``engine``, else ``REPRO_ENGINE``)."""
+    return engine_dispatch(dispatch) if engine_enabled(engine) else "naive"
+
+
 def _golden(layer: _Layer, observer, engine: Optional[bool],
             dispatch: Optional[str]) -> ExecResult:
     """The ``golden`` phase, on the tier the injections will use."""
-    tier = engine_dispatch(dispatch) if engine_enabled(engine) else "naive"
     with _phase(observer, "golden", layer=layer.name):
-        return layer.golden(tier)
+        return layer.golden(_tier(engine, dispatch))
 
 
 def _prune_plan(layer: _Layer, observer):
@@ -385,11 +391,13 @@ def _execute(
     rest run on the supervised pool when ``workers > 1`` (each worker
     rebuilds ``spec``), otherwise in-process: on the checkpoint-replay
     engine (``engine=None`` defers to ``REPRO_ENGINE``) at tier
-    ``dispatch``, or by naive full re-execution.  Every path turns a
-    ``MemoryError``/``RecursionError`` that escapes the simulator into
-    a ``host-escape`` trap row (DESIGN §11): it belongs to that one
-    injection, not to the campaign.  ``stats`` accumulates the steps
-    simulated in-process (see :func:`_simulated_steps`).
+    ``dispatch``, or by naive full re-execution.  The tier is resolved
+    here, once: pooled and degraded runs use it whatever their own
+    environment says.  Every path turns a ``MemoryError``/
+    ``RecursionError`` that escapes the simulator into a ``host-escape``
+    trap row (DESIGN §11): it belongs to that one injection, not to the
+    campaign.  ``stats`` accumulates the steps simulated in-process (see
+    :func:`_simulated_steps`).
     """
     from .resilience import _row_from_result
 
@@ -404,6 +412,7 @@ def _execute(
     if not samples:
         return
     fm = layer.fault_model
+    tier = _tier(engine, dispatch)
     if workers > 1:
         from .resilience import run_supervised
 
@@ -413,9 +422,9 @@ def _execute(
         run_supervised(
             spec, sorted(samples, key=lambda s: (s[1], s[0])), max_steps,
             workers=workers, policy=policy, observer=observer,
-            commit=commit, adapter=layer)
+            commit=commit, adapter=layer, tier=tier)
         return
-    if engine_enabled(engine):
+    if tier != "naive":
         def emit(sample, res):
             pos, idx, bit = sample
             commit(pos, _row_from_result(idx, bit, res, fm))
@@ -423,7 +432,7 @@ def _execute(
         run_injection_suite(
             layer.name, [(s, s[1], s[2]) for s in samples], max_steps,
             module=layer.module, layout=layer.layout,
-            program=layer.program, emit=emit, dispatch=dispatch,
+            program=layer.program, emit=emit, dispatch=tier,
             fault_model=fm, stats=stats)
         return
     for pos, idx, bit in samples:

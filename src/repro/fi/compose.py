@@ -1025,7 +1025,6 @@ def run_incremental_campaign(
     dispatch: Optional[str] = None,
     observer=None,
     exhaustive_bits: Optional[Sequence[int]] = None,
-    site_map: Optional[SiteMap] = None,
     spec=None,
     workers: int = 0,
     policy=None,
@@ -1063,7 +1062,7 @@ def run_incremental_campaign(
             "stratified sampling replaces the section allocator; use "
             "run_ir_campaign/run_asm_campaign with config.stratify")
     with _phase(observer, "sections", layer=layer):
-        sm = site_map or cached_site_map(built, layer, fm)
+        sm = cached_site_map(built, layer, fm)
     protection = _protection_doc(built)
     prune_plan = _prune_plan(adapter, observer) if config.prune else None
     max_steps = config.max_steps(sm.golden_dyn_total)

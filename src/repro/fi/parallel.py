@@ -95,7 +95,6 @@ def run_incremental_campaign_for_spec(
     observer=None,
     policy: Optional[ResiliencePolicy] = None,
     built=None,
-    dispatch: Optional[str] = None,
 ):
     """Section-level incremental campaign for a :class:`WorkSpec`.
 
@@ -124,8 +123,7 @@ def run_incremental_campaign_for_spec(
     try:
         return run_incremental_campaign(
             built, spec.layer, config, store,
-            fault_model=spec.fault_model, dispatch=dispatch,
-            observer=observer,
+            fault_model=spec.fault_model, observer=observer,
             spec=spec, workers=workers, policy=policy,
         )
     finally:

@@ -329,18 +329,16 @@ def run_stratified_campaign(
     engine: Optional[bool] = None,
     dispatch: Optional[str] = None,
     fault_model: Optional[str] = None,
-    pilot: int = DEFAULT_PILOT,
 ) -> StratifiedResult:
     """Stratified campaign over the bit-liveness site classes.
 
     The total budget is ``config.n_campaigns``: a pilot of up to
-    ``pilot`` draws per non-empty stratum, then Neyman allocation of
-    the remainder on the pilot's SDC standard deviations.  Every
-    stratum's draw comes from its own seeded RNG substream, so the
+    :data:`DEFAULT_PILOT` draws per non-empty stratum, then Neyman
+    allocation of the remainder on the pilot's SDC standard deviations.
+    Every stratum's draw comes from its own seeded RNG substream, so the
     campaign is deterministic and a stratum's samples never depend on
-    the other strata's sizes.  With ``config.prune`` benign draws
-    inside each stratum resolve statically, exactly as in the uniform
-    path.
+    the other strata's sizes.  With ``config.prune`` benign draws inside
+    each stratum resolve statically, exactly as in the uniform path.
     """
     adapter = _Layer(layer, module=module, layout=layout, program=program,
                      fault_model=fault_model)
@@ -387,7 +385,8 @@ def run_stratified_campaign(
             records.append(record)
 
     budget = config.n_campaigns
-    pilot_n = [min(pilot, max(1, budget // (2 * len(names))))] * len(names)
+    pilot_n = ([min(DEFAULT_PILOT, max(1, budget // (2 * len(names))))]
+               * len(names))
     batch("pilot", pilot_n)
 
     # Neyman allocation of the remaining budget on pilot SDC spread

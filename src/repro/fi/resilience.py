@@ -83,6 +83,8 @@ _ROW_PAD = ("seu", 0)
 #: without patching code inside spawn children
 _CRASH_ENV = "REPRO_TEST_CRASH_SENTINEL"
 _HANG_ENV = "REPRO_TEST_HANG_SENTINEL"
+#: parent poll cadence while draining worker pipes (seconds)
+_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,6 @@ class ResiliencePolicy:
     #: journal checkpoints and less work lost per crash, at the cost of
     #: one pipeline rebuild per chunk)
     max_chunk: int = 64
-    #: parent poll cadence while draining worker pipes
-    poll_interval: float = 0.02
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -129,9 +129,6 @@ class ResiliencePolicy:
         if self.max_chunk < 1:
             raise CampaignError(
                 f"max_chunk must be >= 1, got {self.max_chunk}")
-        if self.poll_interval <= 0:
-            raise CampaignError(
-                f"poll_interval must be positive, got {self.poll_interval}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +471,9 @@ def _test_fault_hook() -> None:
 
 def _chunk_worker(conn, spec: WorkSpec,
                   samples: List[Tuple[object, int, int]],
-                  max_steps: int) -> None:
-    """Child entry point: rebuild, run the chunk, stream rows back.
+                  max_steps: int, tier: str) -> None:
+    """Child entry point: rebuild, run the chunk on the parent's
+    ``tier``, stream rows back.
 
     Rows are sent one at a time so the parent can journal partial
     progress even if this process later crashes or hangs.
@@ -486,7 +484,8 @@ def _chunk_worker(conn, spec: WorkSpec,
         adapter = _Layer.of(_build_from_spec(spec), spec.layer,
                             spec.fault_model)
         _execute(adapter, samples, max_steps,
-                 lambda orig, row: conn.send(("row", orig, row)))
+                 lambda orig, row: conn.send(("row", orig, row)),
+                 engine=tier != "naive", dispatch=tier)
         conn.send(("done", time.perf_counter() - t0))
     except Exception as exc:                      # noqa: BLE001
         # surface the failure to the supervisor; it decides on retries
@@ -522,16 +521,19 @@ def run_supervised(
     workers: int,
     commit: Callable[[object, Tuple], None],
     adapter: _Layer,
+    tier: str,
     policy: Optional[ResiliencePolicy] = None,
     observer=None,
 ) -> None:
     """Execute ``samples`` (``(position, idx, bit)``) on ``workers``
     spawned processes, surviving worker crashes and hangs.
 
-    Each worker rebuilds ``spec``.  ``commit(position, row)`` fires
-    exactly once per sample, as its row arrives.  Any failure to create
-    the spawn context or its processes degrades to in-process execution
-    on ``adapter``, which still commits per row.
+    Each worker rebuilds ``spec`` and runs on ``tier`` (``"naive"``,
+    ``"decoded"`` or ``"codegen"``), as resolved by the caller.
+    ``commit(position, row)`` fires exactly once per sample, as its row
+    arrives.  Any failure to create the spawn context or its processes
+    degrades to in-process execution on ``adapter``, on the same tier,
+    which still commits per row.
     """
     policy = policy or ResiliencePolicy()
     delivered = set()
@@ -543,7 +545,7 @@ def run_supervised(
     def run_serially(todo: List[Tuple[object, int, int]]) -> None:
         t0 = time.perf_counter()
         _execute(adapter, [s for s in todo if s[0] not in delivered],
-                 max_steps, deliver)
+                 max_steps, deliver, engine=tier != "naive", dispatch=tier)
         if observer is not None:
             observer.worker(0, len(todo), time.perf_counter() - t0,
                             layer=spec.layer, mode="serial")
@@ -611,7 +613,8 @@ def run_supervised(
                 try:
                     proc = ctx.Process(
                         target=_chunk_worker,
-                        args=(send_conn, spec, chunk.samples, max_steps),
+                        args=(send_conn, spec, chunk.samples, max_steps,
+                              tier),
                         daemon=True,
                     )
                     proc.start()
@@ -635,7 +638,7 @@ def run_supervised(
                 pending.clear()
                 continue
 
-            time.sleep(policy.poll_interval)
+            time.sleep(_POLL_INTERVAL)
 
             still: List[_Running] = []
             for r in running:

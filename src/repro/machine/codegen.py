@@ -19,6 +19,13 @@ not a leader — possible only after an injected fault) exits to
 :func:`careful_until_leader`, which single-steps decoded closures until
 execution re-joins a leader.
 
+The per-uop bodies are not written here: :class:`_Emitter` subclasses
+the asm decoder (:class:`repro.machine.decode._Decoder`) and renders its
+``emit_uop`` bodies with literals by overriding its one rendering hook,
+``lit``, so generated chunks and decoded closures run one statement of
+asm semantics.  This module adds the control flow around them: chunks,
+control-uop tails, counters, flips and the fixup table.
+
 Stores (``MOV_MR``, ``MOV_MI``, ``MOVSD_MX``, ``PUSH``, ``CALL``) keep
 the memory's written extent (DESIGN §10) covering what they write
 through the ``LE``/``HS`` bound locals hoisted at function entry.
@@ -45,60 +52,20 @@ The generated function returns action tuples to the driver loop in
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..errors import FaultDetected, ReproError, SimTrap
+from ..errors import ReproError, SimTrap
 from ..memorymodel import Memory
-from ..utils.fmt import format_char, format_f64, format_i64
 from ..simgen import SourceBuilder, compile_generated
 from . import machine as _machine
-from .decode import DecodedProgram, decode_program
+from .decode import (
+    _CC_EXPR, _CONTROL, _ENV, DecodedProgram, _Decoder, decode_program,
+)
 from .machine import (
-    ADD_RI, ADD_RR, ADDSD, AND_RI, AND_RR, CALL, CALLRT, CMOV, CMP_RI,
-    CMP_RR, CVTSI2SD, CVTTSD2SI, DIVSD, IDIV, IMUL_RI, IMUL_RR, JCC, JMP,
-    LEA, MOV_MI, MOV_MR, MOV_RI, MOV_RM, MOV_RR, MOVSD_MX, MOVSD_XI,
-    MOVSD_XM, MOVSD_XX, MULSD, OR_RI, OR_RR, POP, PUSH, RET, SAR_RC,
-    SAR_RI, SETCC, SHL_RC, SHL_RI, SHR_RC, SHR_RI, SUB_RI, SUB_RR, SUBSD,
-    TEST_RR, UCOMISD, UD2, XOR_RI, XOR_RR,
-    _MASK64, _RAX, _RCX, _RDI, _RDX, _RSP, _SENTINEL_RET,
-    _RT_DETECT, _RT_MATH1, _RT_PRINT_CHAR, _RT_PRINT_F64, _RT_PRINT_I64,
-    CompiledProgram, _sx,
+    CALL, JCC, JMP, RET, UD2, _RSP, _SENTINEL_RET, CompiledProgram,
 )
 
 __all__ = ["CodegenProgram", "codegen_program", "careful_until_leader"]
-
-_M64 = _MASK64
-_CONTROL = frozenset((JMP, JCC, CALL, RET, UD2))
-
-# condition-code expressions over the packed flag local `fl`
-# (zf | sf<<1 | of<<2 | cf<<3 | uf<<4) — literal translations of
-# decode._cc_fn, index == cc id
-_CC_EXPR = [
-    "(fl & 1)",                                                 # e
-    "(0 if fl & 1 else 1)",                                     # ne
-    "(((fl >> 1) ^ (fl >> 2)) & 1)",                            # l
-    "(1 if (fl & 1) or (((fl >> 1) ^ (fl >> 2)) & 1) else 0)",  # le
-    "(0 if (fl & 1) or (((fl >> 1) ^ (fl >> 2)) & 1) else 1)",  # g
-    "(0 if ((fl >> 1) ^ (fl >> 2)) & 1 else 1)",                # ge
-    "((fl >> 3) & 1)",                                          # b
-    "(1 if fl & 9 else 0)",                                     # be
-    "(0 if fl & 9 else 1)",                                     # a
-    "(0 if fl & 8 else 1)",                                     # ae
-    "(0 if fl & 16 else fl & 1)",                               # fe
-    "(0 if fl & 16 else (0 if fl & 1 else 1))",                 # fne
-    "(0 if fl & 16 else (fl >> 3) & 1)",                        # fb
-    "(0 if fl & 16 else (1 if fl & 9 else 0))",                 # fbe
-    "(0 if fl & 16 else (0 if fl & 9 else 1))",                 # fa
-    "(0 if fl & 16 else (0 if fl & 8 else 1))",                 # fae
-]
-
-_SX_MAX = 1 << 63
-_SX_WRAP = 1 << 64
-
-# struct codes per access size; signedness matches the decoded tier
-# (asm GPR loads are raw little-endian unsigned)
-_U_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class CodegenProgram:
@@ -183,14 +150,18 @@ def _find_chunks(uops: List[tuple], entry: int):
     return chunks, leaders
 
 
-class _Emitter:
-    """Emits the single specialized executor for one program/geometry."""
+class _Emitter(_Decoder):
+    """Emits the single specialized executor for one program/geometry;
+    the per-uop bodies are the decoder's, rendered with literals."""
 
     def __init__(self, program: CompiledProgram, dp: DecodedProgram,
                  lo: int, hi: int, stack_limit: int,
                  fault_model: str = "seu"):
+        self.fix: Dict[int, Tuple[int, int, int]] = {}
+        super().__init__(program.uops, lo, hi, stack_limit,
+                         dict(_ENV, _mach=_machine, _FIX=self.fix,
+                              _FM=(1, 2, 4, 8, 16)))
         self.program = program
-        self.uops = program.uops
         self.fault_model = fault_model
         self.cf = fault_model == "cf"
         self.set = fault_model == "set"
@@ -201,345 +172,22 @@ class _Emitter:
                          else program.inj_kind)
         self.gpr_dest = dp.gpr_dest
         self.xmm_dest = dp.xmm_dest
-        self.lo = lo
-        self.hi = hi
-        self.stack_limit = stack_limit
-        self.fix: Dict[int, Tuple[int, int, int]] = {}
-        self.env: dict = {
-            "_SimTrap": SimTrap,
-            "_FaultDetected": FaultDetected,
-            "_mach": _machine,
-            "_FIX": self.fix,
-            "M": _MASK64,
-            "_FM": (1, 2, 4, 8, 16),
-            "_ifb": int.from_bytes,
-            "_fi64": format_i64,
-            "_ff64": format_f64,
-            "_fch": format_char,
-            "_nan": float("nan"),
-            "_inf": float("inf"),
-            "_ninf": float("-inf"),
-        }
         self._interned: Dict[tuple, str] = {}
-        self._nconst = 0
 
-    # -- env interning ---------------------------------------------------
-
-    def struct_fn(self, prefix: str, fmt: str, method: str) -> str:
-        name = f"_{prefix}{fmt}"
-        if name not in self.env:
-            self.env[name] = getattr(struct.Struct("<" + fmt), method)
-        return name
-
-    def const(self, tag: str, key, value) -> str:
-        name = self._interned.get((tag, key))
+    def lit(self, value, text: str = None, intern: tuple = None,
+            geo: str = None) -> str:
+        """Literal spelling of ``value``, the geometry included; a value
+        with none (payload bytes, a float ``repr`` cannot round-trip, a
+        math function) is bound once per ``intern`` key under a fresh
+        env name."""
+        if intern is None:
+            return str(value) if text is None else text
+        name = self._interned.get(intern)
         if name is None:
-            name = f"_{tag}{self._nconst}"
-            self._nconst += 1
-            self._interned[(tag, key)] = name
+            name = f"_{intern[0]}{len(self._interned)}"
+            self._interned[intern] = name
             self.env[name] = value
         return name
-
-    # -- per-uop bodies --------------------------------------------------
-
-    def sx_line(self, var: str) -> str:
-        return (f"{var} = {var} - {_SX_WRAP} "
-                f"if {var} >= {_SX_MAX} else {var}")
-
-    def emit_bounds(self, sb: SourceBuilder, size: int, what: str) -> None:
-        """Dynamic-address bounds check over the `_a` local."""
-        with sb.block(f"if _a < {self.lo} or _a + {size} > {self.hi}:"):
-            sb.line(f'raise _SimTrap("segfault", '
-                    f'f"{what} {{_a:#x}}")')
-
-    def emit_gpr_read(self, sb: SourceBuilder, dest: str, size: int) -> None:
-        """`dest = <size>-byte unsigned load at _a` (bounds already
-        checked)."""
-        fmt = _U_FMT.get(size)
-        if fmt is not None:
-            up = self.struct_fn("up", fmt, "unpack_from")
-            sb.line(f"{dest} = {up}(md, _a)[0]")
-        else:
-            sb.line(f"{dest} = _ifb(md[_a:_a + {size}], 'little')")
-
-    def emit_widen(self, sb: SourceBuilder, addr: str, size: int) -> None:
-        """Keep the memory's written extent covering a store at
-        ``addr`` (bounds already checked): one or two compares against
-        the ``LE``/``HS`` locals, refreshed whenever the extent grows."""
-        sb.line(f"if {addr} < HS and {addr} + {size} > LE: "
-                f"LE, HS = mem.widen({addr}, {size})")
-
-    def emit_gpr_write(self, sb: SourceBuilder, src: str, size: int) -> None:
-        mask = (1 << (8 * size)) - 1
-        fmt = _U_FMT.get(size)
-        if fmt is not None:
-            sp = self.struct_fn("sp", fmt, "pack_into")
-            sb.line(f"{sp}(md, _a, {src} & {mask})")
-        else:
-            sb.line(f"md[_a:_a + {size}] = "
-                    f"(({src}) & {mask}).to_bytes({size}, 'little')")
-
-    def emit_flags_zs(self, sb: SourceBuilder) -> None:
-        sb.line("fl = (1 if _r == 0 else 0) | ((_r >> 63) << 1)")
-
-    def emit_sub_flags(self, sb: SourceBuilder) -> None:
-        sb.line("fl = ((1 if _r == 0 else 0) | ((_r >> 63) << 1)"
-                " | (((_x ^ _y) & (_x ^ _r)) >> 63 & 1) << 2"
-                " | (8 if _x < _y else 0))")
-
-    def emit_uop(self, sb: SourceBuilder, i: int) -> None:
-        """Straight-line source for uop ``i`` (counters/flips excluded;
-        control uops are chunk tails and never come through here)."""
-        u = self.uops[i]
-        code = u[0]
-        if code == MOV_RR:
-            sb.line(f"rg[{u[1]}] = rg[{u[2]}]")
-        elif code == MOV_RI:
-            sb.line(f"rg[{u[1]}] = {u[2]}")
-        elif code == MOV_RM:
-            d, base, disp, size = u[1], u[2], u[3], u[4]
-            if base < 0:
-                addr = disp & _M64
-                if addr < self.lo or addr + size > self.hi:
-                    sb.line(f'raise _SimTrap("segfault", '
-                            f'"read {size} at {addr:#x}")')
-                else:
-                    sb.line(f"_a = {addr}")
-                    self.emit_gpr_read(sb, f"rg[{d}]", size)
-            else:
-                sb.line(f"_a = ({disp} + rg[{base}]) & M")
-                self.emit_bounds(sb, size, f"read {size} at")
-                self.emit_gpr_read(sb, f"rg[{d}]", size)
-        elif code == MOV_MR:
-            base, disp, s, size = u[1], u[2], u[3], u[4]
-            if base < 0:
-                addr = disp & _M64
-                if addr < self.lo or addr + size > self.hi:
-                    sb.line(f'raise _SimTrap("segfault", '
-                            f'"write {size} at {addr:#x}")')
-                else:
-                    sb.line(f"_a = {addr}")
-                    self.emit_widen(sb, "_a", size)
-                    self.emit_gpr_write(sb, f"rg[{s}]", size)
-            else:
-                sb.line(f"_a = ({disp} + rg[{base}]) & M")
-                self.emit_bounds(sb, size, f"write {size} at")
-                self.emit_widen(sb, "_a", size)
-                self.emit_gpr_write(sb, f"rg[{s}]", size)
-        elif code == MOV_MI:
-            base, disp, v, size = u[1], u[2], u[3], u[4]
-            payload = (v & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-            pl = self.const("pl", payload, payload)
-            if base < 0:
-                addr = disp & _M64
-                if addr < self.lo or addr + size > self.hi:
-                    sb.line(f'raise _SimTrap("segfault", '
-                            f'"write {size} at {addr:#x}")')
-                else:
-                    self.emit_widen(sb, str(addr), size)
-                    sb.line(f"md[{addr}:{addr + size}] = {pl}")
-            else:
-                sb.line(f"_a = ({disp} + rg[{base}]) & M")
-                self.emit_bounds(sb, size, f"write {size} at")
-                self.emit_widen(sb, "_a", size)
-                sb.line(f"md[_a:_a + {size}] = {pl}")
-        elif code == MOVSD_XX:
-            sb.line(f"xm[{u[1]}] = xm[{u[2]}]")
-        elif code == MOVSD_XI:
-            v = u[2]
-            if v == v and v not in (self.env["_inf"], self.env["_ninf"]) \
-                    and float(repr(v)) == v:
-                sb.line(f"xm[{u[1]}] = {v!r}")
-            else:
-                name = self.const("xc", struct.pack("<d", v), v)
-                sb.line(f"xm[{u[1]}] = {name}")
-        elif code == MOVSD_XM:
-            d, base, disp = u[1], u[2], u[3]
-            up = self.struct_fn("up", "d", "unpack_from")
-            if base < 0:
-                addr = disp & _M64
-                if addr < self.lo or addr + 8 > self.hi:
-                    sb.line(f'raise _SimTrap("segfault", '
-                            f'"fp read at {addr:#x}")')
-                else:
-                    sb.line(f"xm[{d}] = {up}(md, {addr})[0]")
-            else:
-                sb.line(f"_a = ({disp} + rg[{base}]) & M")
-                self.emit_bounds(sb, 8, "fp read at")
-                sb.line(f"xm[{d}] = {up}(md, _a)[0]")
-        elif code == MOVSD_MX:
-            base, disp, s = u[1], u[2], u[3]
-            sp = self.struct_fn("sp", "d", "pack_into")
-            if base < 0:
-                addr = disp & _M64
-                if addr < self.lo or addr + 8 > self.hi:
-                    sb.line(f'raise _SimTrap("segfault", '
-                            f'"fp write at {addr:#x}")')
-                else:
-                    self.emit_widen(sb, str(addr), 8)
-                    sb.line(f"{sp}(md, {addr}, xm[{s}])")
-            else:
-                sb.line(f"_a = ({disp} + rg[{base}]) & M")
-                self.emit_bounds(sb, 8, "fp write at")
-                self.emit_widen(sb, "_a", 8)
-                sb.line(f"{sp}(md, _a, xm[{s}])")
-        elif code == LEA:
-            d, base, disp = u[1], u[2], u[3]
-            if base < 0:
-                sb.line(f"rg[{d}] = {disp & _M64}")
-            else:
-                sb.line(f"rg[{d}] = ({disp} + rg[{base}]) & M")
-        elif code in (ADD_RR, ADD_RI):
-            d = u[1]
-            sb.line(f"_x = rg[{d}]")
-            sb.line(f"_y = rg[{u[2]}]" if code == ADD_RR
-                    else f"_y = {u[2]}")
-            sb.line("_t = _x + _y")
-            sb.line("_r = _t & M")
-            sb.line(f"rg[{d}] = _r")
-            sb.line("fl = ((1 if _r == 0 else 0) | ((_r >> 63) << 1)"
-                    " | (((~(_x ^ _y)) & (_x ^ _r)) >> 63 & 1) << 2"
-                    " | (_t >> 64) << 3)")
-        elif code in (SUB_RR, SUB_RI):
-            d = u[1]
-            sb.line(f"_x = rg[{d}]")
-            sb.line(f"_y = rg[{u[2]}]" if code == SUB_RR
-                    else f"_y = {u[2]}")
-            sb.line("_r = (_x - _y) & M")
-            sb.line(f"rg[{d}] = _r")
-            self.emit_sub_flags(sb)
-        elif code in (IMUL_RR, IMUL_RI):
-            d = u[1]
-            sb.line(f"_x = rg[{d}]")
-            sb.line(self.sx_line("_x"))
-            if code == IMUL_RR:
-                sb.line(f"_y = rg[{u[2]}]")
-                sb.line(self.sx_line("_y"))
-            else:
-                sb.line(f"_y = {_sx(u[2])}")
-            sb.line("_r = (_x * _y) & M")
-            sb.line(f"rg[{d}] = _r")
-            self.emit_flags_zs(sb)
-        elif code in (AND_RR, AND_RI, OR_RR, OR_RI, XOR_RR, XOR_RI):
-            d = u[1]
-            op = ("&" if code in (AND_RR, AND_RI)
-                  else "|" if code in (OR_RR, OR_RI) else "^")
-            rhs = f"rg[{u[2]}]" if code in (AND_RR, OR_RR, XOR_RR) \
-                else f"{u[2]}"
-            sb.line(f"_r = rg[{d}] {op} {rhs}")
-            sb.line(f"rg[{d}] = _r")
-            self.emit_flags_zs(sb)
-        elif code in (SHL_RC, SHL_RI, SAR_RC, SAR_RI, SHR_RC, SHR_RI):
-            d = u[1]
-            n_expr = (f"rg[{_RCX}] & 63"
-                      if code in (SHL_RC, SAR_RC, SHR_RC)
-                      else f"{u[2] & 63}")
-            if code in (SHL_RC, SHL_RI):
-                sb.line(f"_r = (rg[{d}] << ({n_expr})) & M")
-            elif code in (SAR_RC, SAR_RI):
-                sb.line(f"_x = rg[{d}]")
-                sb.line(self.sx_line("_x"))
-                sb.line(f"_r = (_x >> ({n_expr})) & M")
-            else:
-                sb.line(f"_r = rg[{d}] >> ({n_expr})")
-            sb.line(f"rg[{d}] = _r")
-            self.emit_flags_zs(sb)
-        elif code == IDIV:
-            sb.line(f"_y = rg[{u[1]}]")
-            sb.line(self.sx_line("_y"))
-            with sb.block("if _y == 0:"):
-                sb.line('raise _SimTrap("div-by-zero")')
-            sb.line(f"_x = rg[{_RAX}]")
-            sb.line(self.sx_line("_x"))
-            sb.line("_q = abs(_x) // abs(_y)")
-            with sb.block("if (_x < 0) != (_y < 0):"):
-                sb.line("_q = -_q")
-            sb.line(f"rg[{_RAX}] = _q & M")
-            sb.line(f"rg[{_RDX}] = (_x - _q * _y) & M")
-            sb.line("fl = 0")
-        elif code in (CMP_RR, CMP_RI):
-            sb.line(f"_x = rg[{u[1]}]")
-            sb.line(f"_y = rg[{u[2]}]" if code == CMP_RR
-                    else f"_y = {u[2]}")
-            sb.line("_r = (_x - _y) & M")
-            self.emit_sub_flags(sb)
-        elif code == TEST_RR:
-            sb.line(f"_r = rg[{u[1]}] & rg[{u[2]}]")
-            self.emit_flags_zs(sb)
-        elif code == SETCC:
-            sb.line(f"rg[{u[1]}] = {_CC_EXPR[u[2]]}")
-        elif code == CMOV:
-            with sb.block(f"if {_CC_EXPR[u[3]]}:"):
-                sb.line(f"rg[{u[1]}] = rg[{u[2]}]")
-        elif code == CALLRT:
-            kind, payload = u[1], u[2]
-            if kind == _RT_PRINT_I64:
-                sb.line(f"_v = rg[{_RDI}]")
-                sb.line(self.sx_line("_v"))
-                sb.line('out.append(_fi64(_v) + "\\n")')
-            elif kind == _RT_PRINT_F64:
-                sb.line('out.append(_ff64(xm[0]) + "\\n")')
-            elif kind == _RT_PRINT_CHAR:
-                sb.line(f"out.append(_fch(rg[{_RDI}]))")
-            elif kind == _RT_DETECT:
-                sb.line('raise _FaultDetected("checker")')
-            elif kind == _RT_MATH1:
-                name = self.const("mt", id(payload), payload)
-                sb.line(f"xm[0] = {name}(xm[0])")
-            else:
-                name = self.const("mt", id(payload), payload)
-                sb.line(f"xm[0] = {name}(xm[0], xm[1])")
-        elif code == PUSH:
-            sb.line(f"_sp = (rg[{_RSP}] - 8) & M")
-            with sb.block(f"if _sp < {self.stack_limit} "
-                          f"or _sp + 8 > {self.hi}:"):
-                sb.line(f'raise _SimTrap("stack-overflow", '
-                        f'"push at pc={i}")')
-            self.emit_widen(sb, "_sp", 8)
-            spq = self.struct_fn("sp", "Q", "pack_into")
-            sb.line(f"{spq}(md, _sp, rg[{u[1]}])")
-            sb.line(f"rg[{_RSP}] = _sp")
-        elif code == POP:
-            sb.line(f"_sp = rg[{_RSP}]")
-            with sb.block(f"if _sp < {self.lo} or _sp + 8 > {self.hi}:"):
-                sb.line('raise _SimTrap("segfault", '
-                        'f"pop with rsp={_sp:#x}")')
-            upq = self.struct_fn("up", "Q", "unpack_from")
-            sb.line(f"rg[{u[1]}] = {upq}(md, _sp)[0]")
-            sb.line(f"rg[{_RSP}] = (_sp + 8) & M")
-        elif code in (ADDSD, SUBSD, MULSD):
-            op = "+" if code == ADDSD else "-" if code == SUBSD else "*"
-            sb.line(f"xm[{u[1]}] = xm[{u[1]}] {op} xm[{u[2]}]")
-        elif code == DIVSD:
-            d, s = u[1], u[2]
-            sb.line(f"_x = xm[{d}]")
-            sb.line(f"_y = xm[{s}]")
-            with sb.block("if _y == 0.0:"):
-                sb.line(f"xm[{d}] = _nan if _x == 0.0 or _x != _x "
-                        "else (_inf if _x > 0 else _ninf)")
-            with sb.block("else:"):
-                sb.line(f"xm[{d}] = _x / _y")
-        elif code == UCOMISD:
-            sb.line(f"_x = xm[{u[1]}]")
-            sb.line(f"_y = xm[{u[2]}]")
-            with sb.block("if _x != _x or _y != _y:"):
-                sb.line("fl = 25")
-            with sb.block("else:"):
-                sb.line("fl = (1 if _x == _y else 0)"
-                        " | (8 if _x < _y else 0)")
-        elif code == CVTSI2SD:
-            sb.line(f"_v = rg[{u[2]}]")
-            sb.line(self.sx_line("_v"))
-            sb.line(f"xm[{u[1]}] = float(_v)")
-        elif code == CVTTSD2SI:
-            d, s = u[1], u[2]
-            sb.line(f"_v = xm[{s}]")
-            with sb.block("if _v != _v or _v == _inf or _v == _ninf:"):
-                sb.line(f"rg[{d}] = 0")
-            with sb.block("else:"):
-                sb.line(f"rg[{d}] = int(_v) & M")
-        else:  # pragma: no cover - control uops handled by chunk tails
-            raise ReproError(f"cannot generate code for uop {code}")
 
     def emit_flip(self, sb: SourceBuilder, i: int) -> None:
         """Slow-body armed-injection hook after uop ``i`` (mirrors the
@@ -634,7 +282,7 @@ class _Emitter:
             with sb.block("if dp > mxd:"):
                 sb.line('raise _SimTrap("stack-overflow", '
                         f'f"call depth {{mxd}} exceeded at pc={i}")')
-            self.emit_widen(sb, "_sp", 8)
+            self.emit_widen(sb.line, "_sp", 8)
             spq = self.struct_fn("sp", "Q", "pack_into")
             sb.line(f"{spq}(md, _sp, {nxt})")
             sb.line(f"rg[{_RSP}] = _sp")
@@ -687,7 +335,7 @@ class _Emitter:
                 for i in range(L, body_end):
                     sb.line("s += 1")
                     first = sb.next_lineno
-                    self.emit_uop(sb, i)
+                    self.emit_uop(sb.line, i)
                     # registered so a stray OverflowError converts to
                     # the same SimTrap the decoded tier raises; the
                     # counters are already exact (offsets 0)
@@ -700,7 +348,7 @@ class _Emitter:
         npre = 0
         for pos, i in enumerate(range(L, body_end)):
             first = sb.next_lineno
-            self.emit_uop(sb, i)
+            self.emit_uop(sb.line, i)
             self._register(first, sb.next_lineno, pos + 1, npre, i)
             if inj_kind[i]:
                 npre += 1

@@ -9,7 +9,9 @@ import pytest
 from repro.errors import CampaignError
 from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.fi.campaign import CampaignConfig
+from repro.fi.compose import run_incremental_campaign
 from repro.fi.parallel import WorkSpec, run_parallel_campaign
+from repro.pipeline import build_from_source
 from repro.fi.resilience import (
     InjectionJournal,
     ResiliencePolicy,
@@ -243,6 +245,37 @@ class TestDegradation:
         rows = [json.loads(ln) for ln in
                 path.read_text().splitlines()[1:]]
         assert len(rows) == 10
+
+
+class TestPooledTier:
+    """Pooled and degraded runs execute on the tier the caller resolved,
+    never on what ``REPRO_DISPATCH`` says in their own environment."""
+
+    @staticmethod
+    def _incremental(**kw):
+        built = build_from_source(SRC, name="tier")
+        spec = WorkSpec(source=SRC, name="tier", layer="ir")
+        res = run_incremental_campaign(
+            built, "ir", CampaignConfig(n_campaigns=12, seed=3), None,
+            dispatch="decoded", spec=spec, **kw)
+        return res.dispatch, res.counts, res.simulated
+
+    @pytest.mark.slow
+    def test_workers_keep_the_callers_tier(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISPATCH", "codgen")
+        serial = self._incremental()
+        assert self._incremental(workers=2) == serial
+
+    def test_serial_degradation_keeps_the_callers_tier(self, monkeypatch):
+        import repro.fi.resilience as resilience
+
+        def broken(kind):
+            raise ValueError("no spawn")
+
+        monkeypatch.setenv("REPRO_DISPATCH", "codgen")
+        serial = self._incremental()
+        monkeypatch.setattr(resilience, "get_context", broken)
+        assert self._incremental(workers=2) == serial
 
 
 @pytest.mark.slow

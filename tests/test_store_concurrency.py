@@ -112,6 +112,17 @@ def _row_events(path):
     return rows
 
 
+def _wait_for_row(path, proc, timeout=120.0):
+    """Poll until the store at ``path`` holds a complete row event, or
+    ``proc`` has exited (its exit status then tells what happened)."""
+    deadline = time.monotonic() + timeout
+    while not (os.path.exists(path) and _row_events(path)):
+        if proc.poll() is not None:
+            return
+        assert time.monotonic() < deadline, "no row journaled in time"
+        time.sleep(0.01)
+
+
 @pytest.fixture(scope="module")
 def worker_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("stress") / "worker.py"
@@ -166,8 +177,12 @@ class TestConcurrentCampaigns:
         store_path = str(tmp_path / "shared.jsonl")
 
         victim = _spawn(worker_path, store_path, kill_after=5)
-        # give the victim a head start so its claims are on disk
-        time.sleep(0.2)
+        # the survivors start once the victim journals its first row:
+        # by then its planning loop has claimed every section it will
+        # run, so they cannot claim them all first and leave it too
+        # little work to reach its 5th row (a fixed head start is
+        # shorter than a process start-up on a loaded host)
+        _wait_for_row(store_path, victim)
         survivors = [_spawn(worker_path, store_path) for _ in range(2)]
         victim.communicate(timeout=300)
         assert victim.returncode == -signal.SIGKILL
