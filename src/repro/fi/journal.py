@@ -73,6 +73,9 @@ CRC_FIELD = "c"
 #: the environment for slow shared filesystems
 DEFAULT_LOCK_TIMEOUT = 30.0
 _LOCK_TIMEOUT_ENV = "REPRO_STORE_LOCK_TIMEOUT"
+#: first and largest sleep (seconds) between lock-acquisition polls
+_LOCK_INITIAL_DELAY = 0.002
+_LOCK_MAX_DELAY = 0.1
 
 
 def _env_lock_timeout() -> float:
@@ -117,9 +120,9 @@ def seal_doc(doc: dict) -> dict:
     return sealed
 
 
-def append_doc(fh, doc: dict, *, crc: bool = True) -> None:
+def append_doc(fh, doc: dict) -> None:
     """Append one JSONL line durably: write, flush, fsync."""
-    fh.write(json.dumps(seal_doc(doc) if crc else doc) + "\n")
+    fh.write(json.dumps(seal_doc(doc)) + "\n")
     fh.flush()
     os.fsync(fh.fileno())
 
@@ -197,7 +200,6 @@ def scan_jsonl(
     *,
     start: int = 0,
     quarantine: Optional[QuarantineLog] = None,
-    verify_crc: bool = True,
 ) -> ScanStats:
     """Scan ``path`` from byte ``start``, delivering valid documents.
 
@@ -267,12 +269,9 @@ class FileLock:
     ``fcntl`` the lock degrades to a no-op (single-process semantics).
     """
 
-    def __init__(self, path: str, *, timeout: Optional[float] = None,
-                 initial_delay: float = 0.002, max_delay: float = 0.1):
+    def __init__(self, path: str, *, timeout: Optional[float] = None):
         self.path = path
         self.timeout = timeout if timeout is not None else _env_lock_timeout()
-        self.initial_delay = initial_delay
-        self.max_delay = max_delay
         self._fd: Optional[int] = None
         #: acquisitions that had to wait at least one backoff round
         self.contended = 0
@@ -299,7 +298,7 @@ class FileLock:
             return
         mode = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
         deadline = time.monotonic() + self.timeout
-        delay = self.initial_delay
+        delay = _LOCK_INITIAL_DELAY
         waited = False
         while True:
             try:
@@ -315,7 +314,7 @@ class FileLock:
                         f"{_LOCK_TIMEOUT_ENV} to wait longer)") from None
                 waited = True
                 time.sleep(delay)
-                delay = min(delay * 2, self.max_delay)
+                delay = min(delay * 2, _LOCK_MAX_DELAY)
         self._fd = fd
         self.acquisitions += 1
         if waited:

@@ -221,13 +221,12 @@ def asm_region_hash(insts: Sequence) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def partition_asm(program: CompiledProgram,
-                  min_region: int = MIN_ASM_REGION) -> List[Section]:
+def partition_asm(program: CompiledProgram) -> List[Section]:
     """Uop regions between sync points, within function boundaries.
 
     Each defined function's contiguous pc range is split after
     control-transfer uops (``cf_kind`` — jmp/jcc/call), but only once
-    the open region holds at least ``min_region`` uops; region
+    the open region holds at least ``MIN_ASM_REGION`` uops; region
     boundaries are therefore a pure function of the *function's own*
     instruction list, never of neighbouring functions.
     """
@@ -246,7 +245,7 @@ def partition_asm(program: CompiledProgram,
         start = fn_start
         for pc in range(fn_start, fn_end):
             last = pc == fn_end - 1
-            if last or (cf_kind[pc] and pc - start + 1 >= min_region):
+            if last or (cf_kind[pc] and pc - start + 1 >= MIN_ASM_REGION):
                 sections.append(Section(
                     layer="asm",
                     name=f"{fn}#{region}",

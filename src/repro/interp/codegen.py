@@ -21,20 +21,28 @@ small trampoline driver in :class:`~repro.interp.interpreter
 ``max_call_depth``, far beyond Python's recursion limit).  Action
 tuples returned to the driver:
 
-* ``(0,)``      — step budget would expire inside the next chunk; the
-  frame has been positioned for the decoded loop, which finishes the
-  run (and raises the budget trap at exactly the same step).
+* ``(0,)``      — budget bail: the step budget would expire inside the
+  next chunk; the frame has been positioned at the chunk start for the
+  decoded loop, which finishes the run (and raises the budget trap at
+  exactly the same step).
 * ``(1, rv)``   — ``ret``.
 * ``(2, dfn, args, ret_iid, flip_bit, after_bb)`` — call.
+* ``(4,)``      — hand-off: the injection target is one of the chunk's
+  sites; the frame has been positioned at the chunk start and the
+  driver's careful stepper runs the chunk.
 
-Each chunk is emitted twice: a *slow* body that updates ``dyn_total``/
-``dyn_injectable`` per instruction and carries the flip hook at every
-injection site, and a *fast* body with loads/stores inlined (no helper
-call) and both counters coalesced into a single ``dt += N; inj += M``
-at the chunk exit.  The chunk picks the slow body only when the
-injection target falls inside it (``inj <= tgt < inj + M``), so the one
-flip per run is always taken by exact per-site code while everything
-else runs coalesced.
+Each chunk is emitted once, with loads/stores inlined (no helper call)
+and both counters coalesced into a single ``dt += N; inj += M`` at the
+chunk exit.  The chunk that holds the injection target
+(``inj <= tgt < inj + M``) is handed to the careful stepper
+(:meth:`~repro.interp.interpreter.IRInterpreter._careful_step`), which
+steps its decoded entries with exact counters, applies the one fault of
+the run, and returns at the chunk's closing control transfer, where
+generated code takes over again.  The generator therefore states no
+per-site injection semantics of its own: which instruction is a site
+and which call pushes a frame are read from the kinds of the decoded
+entries (:mod:`repro.interp.decode`), so generated code and the decoded
+loop cannot disagree on which instruction allocates an index.
 
 Bit-identity contract
 ---------------------
@@ -43,26 +51,27 @@ Counters follow exactly the decoded loop's order and are written back
 through the carrier ``c`` in a ``finally`` — so at *every* possible
 raise point (traps, checker detections, containment budgets, host
 escapes out of a corrupted step) they match the naive and decoded tiers
-bit-for-bit.  The fast body keeps this exact despite coalescing via a
+bit-for-bit.  Chunks keep this exact despite coalescing via a
 raise-site fixup table: every generated line is mapped to its
 ``(dt, inj)`` offsets from the chunk entry, and an ``except`` arm in
 the generated function looks up the faulting line number in the
-traceback and repairs the counters before re-raising.  Injection flips
-route through ``_interp._flip_value`` (a late module-attribute lookup,
-so the chaos harness's fault bombs hit generated code too).
+traceback and repairs the counters before re-raising.  The careful
+stepper reads ``_flip_value``/``_set_value`` from the interpreter
+module at run time, so the chaos harness's fault bombs reach codegen
+runs too.
 
 Runs that need snapshots or taps delegate to the decoded loop
 (bit-identical by the equivalence suite); resuming *from* a snapshot
-runs generated code, entering via a short decoded "careful" stretch
-when the snapshot stopped mid-chunk.  Inlined stores
+runs generated code, entering through the hand-off when the snapshot
+stopped mid-chunk.  Inlined stores
 keep the memory's written extent (DESIGN §10) covering what they write
 through the ``LE``/``HS`` bound locals each function hoists at entry.
 
-Fault models (DESIGN §14): generation is parameterized by the fault
-model and cached per (module, layout, fault_model).  SEU output is
-byte-identical to the historical generator.  SET swaps the flip hook
-for ``_interp._set_value``.  Under the control-flow model value sites
-vanish (no slow bodies, no ``inj`` accounting mid-chunk) and the
+Fault models (DESIGN §14): generation depends only on the fault model's
+site rule and is cached per (module, layout, site rule), so SEU and SET
+share one generated module; they differ only in the corruption the
+careful stepper applies.  Under the control-flow model value sites
+vanish (no hand-off, no ``inj`` accounting mid-chunk) and the
 ``br``/``condbr`` tails become the injection sites: each allocates one
 index and, on a hit, records the corrupted edge and jumps to a
 uniformly drawn block-entry chunk of the current function.
@@ -73,7 +82,7 @@ from __future__ import annotations
 import itertools
 import struct
 import weakref
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..errors import FaultDetected, IRError, SimTrap
 from ..ir.instructions import Instruction
@@ -88,14 +97,15 @@ from ..ir.intrinsics import (
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..simgen import SourceBuilder, compile_generated
-from . import interpreter as _interp_mod
 from .decode import (
+    K_CALL0,
+    K_CALL1,
+    K_VALUE,
     DecodedFunction,
     DecodedModule,
     _Decoder,
     _PACK_F64,
     _fingerprint,
-    _mk_store_int,
     decode_module,
 )
 from .layout import GlobalLayout
@@ -103,6 +113,10 @@ from .layout import GlobalLayout
 __all__ = ["CodegenFunction", "CodegenModule", "codegen_module"]
 
 _TERMINATORS = frozenset(("br", "condbr", "ret", "unreachable"))
+#: entry kinds of the value rule that allocate an injectable index, and
+#: those that push a simulated frame (:mod:`repro.interp.decode`)
+_SITES = (K_VALUE, K_CALL1)
+_REAL_CALLS = (K_CALL0, K_CALL1)
 
 
 class CodegenFunction:
@@ -141,104 +155,53 @@ def codegen_module(module: Module, layout: GlobalLayout,
                    fault_model: str = "seu") -> CodegenModule:
     """Generate (cached) specialized code for ``module``; regenerates if
     the module was mutated in place or the layout moved — same
-    invalidation rule (and fingerprint) as :func:`decode_module`.  The
-    cache keeps one generated module per fault model (the corruption
-    hooks are baked into the source)."""
+    invalidation rule (and fingerprint) as :func:`decode_module`.  Like
+    the decode cache, it keeps one generated module per site rule: SEU
+    and SET share the value sites, cf has the branch sites."""
+    cf = fault_model == "cf"
     fp = _fingerprint(module)
     cached = _CACHE.get(module)
     if cached is not None:
-        lay, cached_fp, by_model = cached
+        lay, cached_fp, by_rule = cached
         if cached_fp == fp and (
             lay is layout or lay.addresses == layout.addresses
         ):
-            gm = by_model.get(fault_model)
+            gm = by_rule.get(cf)
             if gm is None:
-                gm = _generate(module, layout, fault_model)
-                by_model[fault_model] = gm
+                gm = by_rule[cf] = _generate(module, layout, fault_model)
             return gm
     gm = _generate(module, layout, fault_model)
-    _CACHE[module] = (layout, fp, {fault_model: gm})
+    _CACHE[module] = (layout, fp, {cf: gm})
     return gm
-
-
-def _is_real_call(inst: Instruction) -> bool:
-    """True for calls that push a simulated frame (split chunks);
-    intrinsics are inlined and bad calls become raisers, mirroring
-    ``_Decoder._decode_call``."""
-    if inst.opcode != "call":
-        return False
-    callee = inst.callee
-    if isinstance(callee, str):
-        return False
-    if callee.is_declaration:
-        return False
-    return len(inst.operands) == len(callee.args)
 
 
 class _Emitter(_Decoder):
     """Reuses the decoder's operand/expression machinery to emit source
     statements instead of compiling closures."""
 
-    def __init__(self, module: Module, layout: GlobalLayout,
-                 fault_model: str = "seu"):
-        super().__init__(module, layout)
-        self.fault_model = fault_model
-        #: cf model: value sites vanish, br/condbr tails inject
-        self.cf = fault_model == "cf"
-        #: flip hook, a late module-attribute lookup so the chaos
-        #: harness's fault bombs hit generated code too
-        self.flip_name = ("_interp._set_value" if fault_model == "set"
-                          else "_interp._flip_value")
+    def __init__(self, module: Module, layout: GlobalLayout, cf: bool):
+        # cf rule: value sites vanish, br/condbr tails inject
+        super().__init__(module, layout, cf)
         #: raise-site fixup table: generated source line number ->
-        #: (dt, inj) offsets from the chunk entry, for fast-body lines
+        #: (dt, inj) offsets from the chunk entry, for chunk lines
         #: whose counter updates are coalesced at the chunk exit
         self.fix: Dict[int, Tuple[int, int]] = {}
         self.env.update({
             "_SimTrap": SimTrap,
             "_FaultDetected": FaultDetected,
             "_IRError": IRError,
-            "_interp": _interp_mod,
             "_FIX": self.fix,
             "_ifb": int.from_bytes,
             "_upf": _PACK_F64.unpack_from,
         })
         self.ng = itertools.count()          # chunk/block env names
         self.dfn_names: Dict[Function, str] = {}
-        self._types: Dict[int, str] = {}
         #: iids readable as `t{iid}` locals in the chunk being emitted
         self.local: Set[int] = set()
         #: iids that must also live in the frame's temps dict
         self.escaping: Set[int] = set()
 
-    def injectable(self, inst: Instruction) -> bool:
-        """True iff the decoded loop allocates an injection index for
-        this instruction (K_VALUE or K_CALL1).  Under the cf model no
-        value producer is a site (br/condbr tails allocate instead)."""
-        if self.cf:
-            return False
-        op = inst.opcode
-        if op == "call":
-            callee = inst.callee
-            if isinstance(callee, str):
-                return (callee in INTRINSICS and callee not in
-                        (PRINT_I64, PRINT_F64, PRINT_CHAR, DETECT))
-            if callee.is_declaration \
-                    or len(inst.operands) != len(callee.args):
-                return False
-            return not inst.type.is_void
-        if op in _TERMINATORS or op in ("store", "alloca"):
-            return False
-        return True
-
     # -- naming helpers --------------------------------------------------
-
-    def ty_name(self, ty) -> str:
-        name = self._types.get(id(ty))
-        if name is None:
-            name = f"_ty{len(self._types)}"
-            self._types[id(ty)] = name
-            self.env[name] = ty
-        return name
 
     def operand(self, v: Value) -> str:
         if isinstance(v, Instruction):
@@ -272,121 +235,6 @@ class _Emitter(_Decoder):
         if iid in self.escaping:
             sb.line(f"t[{iid}] = t{iid}")
 
-    def emit_value(self, sb: SourceBuilder, inst: Instruction,
-                   expr: str) -> None:
-        """An injection site: compute, maybe flip, allocate the index."""
-        iid = inst.iid
-        sb.line(f"t{iid} = {expr}")
-        with sb.block("if inj == tgt:"):
-            sb.line(f"t{iid} = {self.flip_name}(t{iid}, "
-                    f"{self.ty_name(inst.type)}, bit)")
-            sb.line("ip.injected = True")
-            sb.line(f"ip.injected_iid = {iid}")
-        sb.line("inj += 1")
-        self.local.add(iid)
-        if iid in self.escaping:
-            sb.line(f"t[{iid}] = t{iid}")
-
-    def emit_call(self, sb: SourceBuilder, inst: Instruction, fn: Function,
-                  block, i: int, entry_bb) -> None:
-        args = [self.operand(a) for a in inst.operands]
-        callee = inst.callee
-        sb.line("dt += 1")
-        if isinstance(callee, str):
-            if callee == PRINT_I64:
-                sb.line(f"out.append(_fmt_i64(int({args[0]})) + _NL)")
-            elif callee == PRINT_F64:
-                sb.line(f"out.append(_fmt_f64(float({args[0]})) + _NL)")
-            elif callee == PRINT_CHAR:
-                sb.line(f"out.append(_fmt_char(int({args[0]})))")
-            elif callee == DETECT:
-                sb.line("raise _FaultDetected('checker')")
-            elif callee in INTRINSICS:
-                name = f"_m{next(self.nk)}"
-                self.env[name] = math_impl(callee)
-                expr = name + "(" + ", ".join(
-                    f"float({a})" for a in args) + ")"
-                self.emit_value(sb, inst, expr)
-            else:
-                sb.line(f"raise _IRError("
-                        f"{('unknown intrinsic @' + callee)!r})")
-            return
-        if callee.is_declaration:
-            sb.line(f"raise _IRError("
-                    f"{('call to declaration @' + callee.name)!r})")
-            return
-        if len(args) != len(callee.args):
-            msg = (f"@{callee.name} expects {len(callee.args)} args, "
-                   f"got {len(args)}")
-            sb.line(f"raise _IRError({msg!r})")
-            return
-        # real call: args are evaluated before the flip decision and the
-        # injectable index allocation, exactly like the decoded loop
-        sb.line(f"_a = [{', '.join(args)}]")
-        has_result = not inst.type.is_void
-        if has_result:
-            sb.line("fb = None")
-            with sb.block("if inj == tgt:"):
-                sb.line("fb = bit")
-                sb.line(f"ip.injected_iid = {inst.iid}")
-            sb.line("inj += 1")
-        sb.line(f"fr.index = {i + 1}")
-        after = entry_bb[(block, i + 1)]
-        ret_iid = inst.iid if has_result else "None"
-        fb = "fb" if has_result else "None"
-        sb.line(f"return (2, {self.dfn_names[callee]}, _a, "
-                f"{ret_iid}, {fb}, {after})")
-
-    def emit_inst(self, sb: SourceBuilder, inst: Instruction, fn: Function,
-                  block, i: int, entry_bb) -> None:
-        op = inst.opcode
-        if op == "br":
-            sb.line("dt += 1")
-            sb.line(f"bb = {entry_bb[(inst.target, 0)]}")
-            sb.line("continue")
-        elif op == "condbr":
-            cond = self.operand(inst.operands[0])
-            sb.line("dt += 1")
-            then_bb = entry_bb[(inst.then_block, 0)]
-            else_bb = entry_bb[(inst.else_block, 0)]
-            sb.line(f"bb = {then_bb} if {cond} else {else_bb}")
-            sb.line("continue")
-        elif op == "ret":
-            rv = self.operand(inst.operands[0]) if inst.operands else "None"
-            sb.line("dt += 1")
-            sb.line(f"return (1, {rv})")
-        elif op == "store":
-            v = self.operand(inst.operands[0])
-            p = self.operand(inst.operands[1])
-            ty = inst.operands[0].type
-            sb.line("dt += 1")
-            if ty.is_float:
-                sb.line(f"_stf(mem, {p}, float({v}))")
-            else:
-                st = self.mem_fn("st", ty.size, _mk_store_int)
-                sb.line(f"{st}(mem, {p}, int({v}))")
-        elif op == "unreachable":
-            sb.line("dt += 1")
-            detail = f"@{fn.name}/{block.label}"
-            sb.line(f"raise _SimTrap('unreachable', {detail!r})")
-        elif op == "alloca":
-            size = max(1, inst.allocated_type.size)
-            sb.line("dt += 1")
-            sb.line(f"sp = (ip.sp - {size}) & -8")
-            sb.line("ip.sp = sp")
-            with sb.block("if sp < SL:"):
-                sb.line(f"raise _SimTrap('stack-overflow', "
-                        f"{('@' + fn.name)!r})")
-            self.assign(sb, inst.iid, "sp")
-        elif op == "call":
-            self.emit_call(sb, inst, fn, block, i, entry_bb)
-        else:
-            expr = self.value_expr(inst)
-            sb.line("dt += 1")
-            self.emit_value(sb, inst, expr)
-
-    # -- fast-body emission (coalesced counters, no flip sites) ----------
-
     _LD_FMT = {1: "b", 2: "h", 4: "i", 8: "q"}
     _ST_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -397,7 +245,7 @@ class _Emitter(_Decoder):
             self.env[name] = getattr(struct.Struct("<" + fmt), method)
         return name
 
-    def emit_fast_load(self, sb: SourceBuilder, inst: Instruction) -> None:
+    def emit_load(self, sb: SourceBuilder, inst: Instruction) -> None:
         """Inline ``Memory`` load: bounds check plus a struct
         ``unpack_from`` (sign-extension included for signed widths) —
         byte-for-byte the semantics (and trap message) of the decoded
@@ -427,7 +275,7 @@ class _Emitter(_Decoder):
         if iid in self.escaping:
             sb.line(f"t[{iid}] = t{iid}")
 
-    def emit_fast_store(self, sb: SourceBuilder, inst: Instruction) -> None:
+    def emit_store(self, sb: SourceBuilder, inst: Instruction) -> None:
         v = self.operand(inst.operands[0])
         p = self.operand(inst.operands[1])
         ty = inst.operands[0].type
@@ -452,8 +300,8 @@ class _Emitter(_Decoder):
             sp = self.struct_fn("sp", fmt, "pack_into")
             sb.line(f"{sp}(md, _a, _v & {mask})")
 
-    def emit_fast_intrinsic(self, sb: SourceBuilder,
-                            inst: Instruction) -> None:
+    def emit_intrinsic(self, sb: SourceBuilder,
+                       inst: Instruction) -> None:
         """Mid-chunk call that does not push a frame: inlined intrinsic
         or a raiser for declaration/arity-mismatch/unknown callees."""
         args = [self.operand(a) for a in inst.operands]
@@ -483,13 +331,13 @@ class _Emitter(_Decoder):
                    f"got {len(args)}")
             sb.line(f"raise _IRError({msg!r})")
 
-    def emit_fast(self, sb: SourceBuilder, inst: Instruction,
+    def emit_inst(self, sb: SourceBuilder, inst: Instruction,
                   fn: Function) -> None:
         op = inst.opcode
         if op == "load":
-            self.emit_fast_load(sb, inst)
+            self.emit_load(sb, inst)
         elif op == "store":
-            self.emit_fast_store(sb, inst)
+            self.emit_store(sb, inst)
         elif op == "alloca":
             size = max(1, inst.allocated_type.size)
             sb.line(f"sp = (ip.sp - {size}) & -8")
@@ -499,29 +347,28 @@ class _Emitter(_Decoder):
                         f"{('@' + fn.name)!r})")
             self.assign(sb, inst.iid, "sp")
         elif op == "call":
-            self.emit_fast_intrinsic(sb, inst)
+            self.emit_intrinsic(sb, inst)
         else:
             self.assign(sb, inst.iid, self.value_expr(inst))
 
-    def emit_fast_call_tail(self, sb: SourceBuilder, inst: Instruction,
-                            block, i: int, entry_bb) -> None:
-        """Chunk-ending real call, counters already coalesced (the
-        trailing K_CALL1 index is allocated after argument evaluation,
-        exactly like the decoded loop)."""
+    def emit_call_tail(self, sb: SourceBuilder, inst: Instruction,
+                       kind: int, block, i: int, entry_bb) -> None:
+        """Chunk-ending real call, counters already coalesced (a K_CALL1
+        index is allocated after argument evaluation, exactly like the
+        decoded loop)."""
         args = [self.operand(a) for a in inst.operands]
         callee = inst.callee
         sb.line(f"_a = [{', '.join(args)}]")
-        has_result = not inst.type.is_void
-        if has_result and not self.cf:
+        if kind == K_CALL1:
             sb.line("inj += 1")
         sb.line(f"fr.index = {i + 1}")
         after = entry_bb[(block, i + 1)]
-        ret_iid = inst.iid if has_result else "None"
+        ret_iid = "None" if inst.type.is_void else inst.iid
         sb.line(f"return (2, {self.dfn_names[callee]}, _a, "
                 f"{ret_iid}, None, {after})")
 
-    def emit_fast_term(self, sb: SourceBuilder, inst: Instruction,
-                       fn: Function, block, entry_bb) -> None:
+    def emit_term(self, sb: SourceBuilder, inst: Instruction,
+                  fn: Function, block, entry_bb) -> None:
         op = inst.opcode
         if op == "br":
             if self.cf:
@@ -573,6 +420,15 @@ class _Emitter(_Decoder):
             sb.line("continue")
         sb.line("inj += 1")
 
+    def emit_handoff(self, sb: SourceBuilder, position: str,
+                     nsites: int) -> None:
+        """When the injection target is one of the chunk's ``nsites``
+        sites, position the frame at the chunk start and hand the chunk
+        to the driver's careful stepper, which applies the fault."""
+        with sb.block(f"if inj <= tgt < inj + {nsites}:"):
+            sb.line(position)
+            sb.line("return (4,)")
+
     def _register_fixups(self, first: int, stop: int,
                          dt_off: int, inj_off: int) -> None:
         for ln in range(first, stop):
@@ -585,13 +441,12 @@ class _Emitter(_Decoder):
         # chunk structure: blocks split after every real call site
         chunks: List[Tuple[object, int, int]] = []
         for block in fn.blocks:
-            insts = block.instructions
             start = 0
-            for i, inst in enumerate(insts):
-                if _is_real_call(inst):
+            for i, e in enumerate(dfn.pairs[block][1]):
+                if e[0] in _REAL_CALLS:
                     chunks.append((block, start, i + 1))
                     start = i + 1
-            chunks.append((block, start, len(insts)))
+            chunks.append((block, start, len(block.instructions)))
         entry_bb = {(block, start): k
                     for k, (block, start, _end) in enumerate(chunks)}
 
@@ -639,59 +494,51 @@ class _Emitter(_Decoder):
         def emit_chunk(k: int) -> None:
             block, start, end = chunks[k]
             insts = block.instructions
+            code = dfn.pairs[block][1]
             n_entries = end - start
             if n_entries:
-                # budget precheck: bail to the decoded loop, which will
-                # raise the step-budget trap (or an earlier trap) at
-                # exactly the right instruction within this chunk
                 bname = f"_b{next(self.ng)}"
                 cname = f"_c{next(self.ng)}"
                 self.env[bname] = block
-                self.env[cname] = dfn.pairs[block][1]
-                with sb.block(f"if dt + {n_entries} > ms:"):
-                    sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                self.env[cname] = code
+                position = (f"fr.block = {bname}; fr.code = {cname}; "
                             f"fr.index = {start}")
+                # budget precheck: bail to the decoded loop, which will
+                # raise the step-budget trap (or an earlier trap) at
+                # exactly the right instruction within this chunk
+                with sb.block(f"if dt + {n_entries} > ms:"):
+                    sb.line(position)
                     sb.line("return (0,)")
+                nsites = sum(1 for e in code[start:end] if e[0] in _SITES)
+                if nsites:
+                    self.emit_handoff(sb, position, nsites)
             last = insts[end - 1] if n_entries else None
-            tail_call = last is not None and _is_real_call(last)
+            tail_call = (last is not None
+                         and code[end - 1][0] in _REAL_CALLS)
             tail_term = (not tail_call and last is not None
                          and last.opcode in _TERMINATORS)
-            felloff = (f"fell off block {block.label} in @{fn.name}"
-                       if not (tail_call or tail_term) else None)
-            ninj = sum(1 for i in range(start, end)
-                       if self.injectable(insts[i]))
-            if ninj:
-                # slow body: per-instruction counters + flip sites,
-                # taken only when the flip lands inside this chunk
-                with sb.block(f"if inj <= tgt < inj + {ninj}:"):
-                    self.local = set()
-                    for i in range(start, end):
-                        self.emit_inst(sb, insts[i], fn, block, i,
-                                       entry_bb)
-                    if felloff is not None:
-                        sb.line(f"raise _IRError({felloff!r})")
-            # fast body: coalesced counters, raise sites fixed up via
-            # the traceback line table
+            # coalesced counters, raise sites fixed up via the
+            # traceback line table
             self.local = set()
             body_end = end - 1 if (tail_call or tail_term) else end
             npre = 0
             for i in range(start, body_end):
-                inst = insts[i]
                 first = sb.next_lineno
-                self.emit_fast(sb, inst, fn)
+                self.emit_inst(sb, insts[i], fn)
                 self._register_fixups(first, sb.next_lineno,
                                       i - start + 1, npre)
-                if self.injectable(inst):
+                if code[i][0] in _SITES:
                     npre += 1
             if n_entries:
                 sb.line(f"dt += {n_entries}"
                         + (f"; inj += {npre}" if npre else ""))
             if tail_call:
-                self.emit_fast_call_tail(sb, last, block, end - 1,
-                                         entry_bb)
+                self.emit_call_tail(sb, last, code[end - 1][0], block,
+                                    end - 1, entry_bb)
             elif tail_term:
-                self.emit_fast_term(sb, last, fn, block, entry_bb)
+                self.emit_term(sb, last, fn, block, entry_bb)
             else:
+                felloff = f"fell off block {block.label} in @{fn.name}"
                 sb.line(f"raise _IRError({felloff!r})")
 
         def emit_tree(lo: int, hi: int) -> None:
@@ -718,7 +565,7 @@ class _Emitter(_Decoder):
         sb.dedent()  # try
         sb.line("except BaseException as e:")
         sb.indent()
-        # coalesced fast-body counters: repair from the faulting line
+        # coalesced chunk counters: repair from the faulting line
         sb.line("_o = _FIX.get(e.__traceback__.tb_lineno)")
         with sb.block("if _o is not None:"):
             sb.line("dt += _o[0]; inj += _o[1]")
@@ -733,9 +580,9 @@ class _Emitter(_Decoder):
 
 
 def _generate(module: Module, layout: GlobalLayout,
-              fault_model: str = "seu") -> CodegenModule:
+              fault_model: str) -> CodegenModule:
     dm = decode_module(module, layout, fault_model)
-    em = _Emitter(module, layout, fault_model)
+    em = _Emitter(module, layout, fault_model == "cf")
     sb = SourceBuilder()
     fn_list = list(dm.functions.items())
     for n, (fn, dfn) in enumerate(fn_list):

@@ -536,7 +536,6 @@ class IRInterpreter(Simulator):
         from .codegen import codegen_module
 
         gm = codegen_module(self.module, self.layout, self.fault_model)
-        careful = False
         if resume_from is None:
             frame, stack = self._enter(start, gm.dm.functions)
             bbs: List[int] = []
@@ -547,27 +546,24 @@ class IRInterpreter(Simulator):
             # are chunk boundaries by construction
             bbs = [gm.functions[f.fn].entry_bb[(f.block, f.index)]
                    for f in stack]
-            entry = gm.functions[frame.fn].entry_bb.get(
-                (frame.block, frame.index))
-            if entry is None:
-                # snapshot stopped mid-chunk: step decoded entries until
-                # the next control transfer, then enter generated code
-                careful = True
-                bb = -1
-            else:
-                bb = entry
+            # a snapshot that stopped mid-chunk enters through the
+            # hand-off (bb -1)
+            bb = gm.functions[frame.fn].entry_bb.get(
+                (frame.block, frame.index), -1)
         self._armed = True
-        return self._run_codegen(gm, frame, stack, bbs, bb, careful)
+        return self._run_codegen(gm, frame, stack, bbs, bb)
 
     def _run_codegen(self, gm, frame: _Frame, stack: List[_Frame],
-                     bbs: List[int], bb: int, careful: bool):
+                     bbs: List[int], bb: int):
         """Trampoline driver for generated code.
 
         Generated functions execute whole chunks and return action
         tuples (see :mod:`repro.interp.codegen`); this loop handles the
         frame pushes/pops (with the decoded loop's exact depth and
-        stack-overflow semantics), return-value flips, and the fallback
-        onto the decoded loop when the step budget is about to expire.
+        stack-overflow semantics), return-value flips, the hand-off of
+        the chunk holding the injection target to the careful stepper,
+        and the fallback onto the decoded loop when the step budget is
+        about to expire.  ``bb`` -1 enters through the hand-off.
         """
         c = [self.dyn_total, self.dyn_injectable,
              self.inject_index if self.inject_index is not None else -1,
@@ -577,8 +573,7 @@ class IRInterpreter(Simulator):
         fns = gm.functions
         flip = _set_value if self.fault_model == "set" else _flip_value
         try:
-            r = self._careful_step(frame, stack, c,
-                                   fns[frame.fn]) if careful else None
+            r = None if bb >= 0 else (4,)
             while True:
                 if r is None:
                     r = fns[frame.fn].run(self, frame, c, bb)
@@ -628,8 +623,11 @@ class IRInterpreter(Simulator):
                     finally:
                         c[0] = self.dyn_total
                         c[1] = self.dyn_injectable
-                else:               # careful stepper reached a block start
+                elif tag == 3:      # careful stepper reached a block start
                     bb = fns[frame.fn].entry_bb[(frame.block, 0)]
+                else:               # hand-off: careful-step this chunk
+                    r = self._careful_step(frame, c, fns[frame.fn])
+                    continue
                 r = None
         except KeyError as k:
             raise IRError(
@@ -639,14 +637,16 @@ class IRInterpreter(Simulator):
             self.dyn_total = c[0]
             self.dyn_injectable = c[1]
 
-    def _careful_step(self, frame: _Frame, stack: List[_Frame], c,
-                      gf) -> tuple:
-        """Execute decoded entries of a mid-chunk frame until the next
-        control transfer (which always lands on a chunk boundary),
-        mirroring the decoded loop's counter and injection semantics:
-        the entry kinds carry the fault model's site rule.  Returns a
-        codegen driver action: ``(1, rv)``, ``(2, ...)`` or ``(3,)``
-        after positioning ``frame`` at a block start."""
+    def _careful_step(self, frame: _Frame, c, gf) -> tuple:
+        """Execute decoded entries from the frame's position to the end
+        of its chunk, i.e. the next control transfer (which always
+        lands on a chunk boundary), mirroring the decoded loop's counter
+        and injection semantics: the entry kinds carry the fault model's
+        site rule.  It runs the chunk generated code handed off because
+        it holds the injection target, and the rest of the chunk a
+        snapshot stopped in.  Returns a codegen driver action:
+        ``(1, rv)``, ``(2, ...)`` or ``(3,)`` after positioning
+        ``frame`` at a block start."""
         dt, inj, target, inject_bit = c
         max_steps = self.max_steps
         stack_limit = self.memory.stack_limit

@@ -14,29 +14,33 @@ discovered from branch/call targets ("leaders"); each chunk is the run
 of uops from a leader up to and including the next control uop.  Calls
 and returns stay inside the generated function: their targets are
 leaders, so control transfer is just ``bb = <chunk>; continue`` on a
-binary dispatch tree.  Only a *corrupted* return address (one that is
-not a leader — possible only after an injected fault) exits to
-:func:`careful_until_leader`, which single-steps decoded closures until
-execution re-joins a leader.
+binary dispatch tree.  What generated code does not run,
+:func:`careful_until_leader` single-steps on decoded closures until
+execution re-joins a leader: the chunk that holds the injection target,
+and any pc that is not a chunk start (a snapshot's mid-chunk pc, a
+*corrupted* return address, a control-flow fault's redirect).
 
 The per-uop bodies are not written here: :class:`_Emitter` subclasses
 the asm decoder (:class:`repro.machine.decode._Decoder`) and renders its
 ``emit_uop`` bodies with literals by overriding its one rendering hook,
 ``lit``, so generated chunks and decoded closures run one statement of
 asm semantics.  This module adds the control flow around them: chunks,
-control-uop tails, counters, flips and the fixup table.
+control-uop tails, counters and the fixup table.
 
 Stores (``MOV_MR``, ``MOV_MI``, ``MOVSD_MX``, ``PUSH``, ``CALL``) keep
 the memory's written extent (DESIGN §10) covering what they write
 through the ``LE``/``HS`` bound locals hoisted at function entry.
 
-Counter exactness under coalescing uses the same trick as the IR
-backend: each chunk has a *slow* body (taken only when the flip target
-falls inside it) with per-uop ``s``/``inj`` updates and flip hooks, and
-a *fast* body whose counters are coalesced into one addition at the
-chunk exit.  Fast-body lines are recorded in a fixup table ``_FIX``
-mapping generated line number -> (steps, injectable, pc) offsets; the
-wrapper's ``except`` arms repair the counters from
+Each chunk is emitted once, with its counters coalesced into one
+addition at the chunk exit, as in the IR backend.  The chunk that holds
+the injection target (``inj <= tgt < inj + M``, M its sites) is not
+run here: it is handed to :func:`careful_until_leader`, which steps it
+with exact counters and applies the fault through
+:meth:`~repro.machine.machine.AsmMachine._apply_fault`, the decoded
+core's own helper.  SEU and SET therefore generate the same source; it
+is cached per site rule.  Chunk lines are recorded in a fixup table
+``_FIX`` mapping generated line number -> (steps, injectable, pc)
+offsets; the wrapper's ``except`` arms repair the counters from
 ``e.__traceback__.tb_lineno`` and convert ``OverflowError`` into the
 same ``SimTrap("overflow", "pc=...")`` the other tiers raise.
 
@@ -47,7 +51,9 @@ The generated function returns action tuples to the driver loop in
              driver finishes the run on the decoded core, which owns
              the exact raise point;
 ``(1,)``     ``main`` returned through the sentinel (halt);
-``(2, pc)``  return address is not a leader — careful-step from ``pc``.
+``(2, pc)``  careful-step from ``pc`` to the next leader: the chunk at
+             leader ``pc`` holds the injection target, or a return
+             address or cf redirect left the chunk starts.
 """
 
 from __future__ import annotations
@@ -57,10 +63,7 @@ from typing import Callable, Dict, List, Tuple
 from ..errors import ReproError, SimTrap
 from ..memorymodel import Memory
 from ..simgen import SourceBuilder, compile_generated
-from . import machine as _machine
-from .decode import (
-    _CC_EXPR, _CONTROL, _ENV, DecodedProgram, _Decoder, decode_program,
-)
+from .decode import _CC_EXPR, _CONTROL, _ENV, DecodedProgram, _Decoder
 from .machine import (
     CALL, JCC, JMP, RET, UD2, _RSP, _SENTINEL_RET, CompiledProgram,
 )
@@ -95,9 +98,11 @@ def _fingerprint(program: CompiledProgram) -> tuple:
 def codegen_program(program: CompiledProgram, mem: Memory,
                     fault_model: str = "seu") -> CodegenProgram:
     """Generate (cached) specialized code for ``program`` under ``mem``'s
-    geometry and ``fault_model`` (the corruption hooks are baked into
-    the source); regenerates if the uop stream was mutated in place."""
-    key = (mem.global_base, mem.size, mem.stack_limit, fault_model)
+    geometry and the site rule of ``fault_model`` (SEU and SET share the
+    register sites, cf has the transfer sites); regenerates if the uop
+    stream was mutated in place."""
+    cf = fault_model == "cf"
+    key = (mem.global_base, mem.size, mem.stack_limit, cf)
     fp = _fingerprint(program)
     cache = getattr(program, "_codegen", None)
     if cache is None:
@@ -106,7 +111,7 @@ def codegen_program(program: CompiledProgram, mem: Memory,
     hit = cache.get(key)
     if hit is not None and hit[0] == fp:
         return hit[1]
-    cp = _generate(program, mem, fault_model)
+    cp = _generate(program, mem, cf)
     cache[key] = (fp, cp)
     return cp
 
@@ -154,24 +159,17 @@ class _Emitter(_Decoder):
     """Emits the single specialized executor for one program/geometry;
     the per-uop bodies are the decoder's, rendered with literals."""
 
-    def __init__(self, program: CompiledProgram, dp: DecodedProgram,
-                 lo: int, hi: int, stack_limit: int,
-                 fault_model: str = "seu"):
+    def __init__(self, program: CompiledProgram, lo: int, hi: int,
+                 stack_limit: int, cf: bool):
         self.fix: Dict[int, Tuple[int, int, int]] = {}
         super().__init__(program.uops, lo, hi, stack_limit,
-                         dict(_ENV, _mach=_machine, _FIX=self.fix,
-                              _FM=(1, 2, 4, 8, 16)))
-        self.program = program
-        self.fault_model = fault_model
-        self.cf = fault_model == "cf"
-        self.set = fault_model == "set"
-        #: under cf the register-destination sites vanish (no slow
-        #: bodies, no coalesced inj) — control-uop chunk tails become
-        #: the injection sites instead
-        self.inj_kind = ([0] * len(program.uops) if self.cf
+                         dict(_ENV, _FIX=self.fix))
+        self.cf = cf
+        #: under cf the register-destination sites vanish (no hand-off,
+        #: no coalesced inj) — control-uop chunk tails become the
+        #: injection sites instead
+        self.inj_kind = ([0] * len(program.uops) if cf
                          else program.inj_kind)
-        self.gpr_dest = dp.gpr_dest
-        self.xmm_dest = dp.xmm_dest
         self._interned: Dict[tuple, str] = {}
 
     def lit(self, value, text: str = None, intern: tuple = None,
@@ -188,30 +186,6 @@ class _Emitter(_Decoder):
             self._interned[intern] = name
             self.env[name] = value
         return name
-
-    def emit_flip(self, sb: SourceBuilder, i: int) -> None:
-        """Slow-body armed-injection hook after uop ``i`` (mirrors the
-        decoded loop; the XMM route goes through module attributes so
-        monkeypatched flip helpers — the chaos bombs — stay visible)."""
-        kind = self.inj_kind[i]
-        burst = ("((1 << (bit & 63)) | (1 << ((bit + 1) & 63)))"
-                 if self.set else "(1 << (bit & 63))")
-        with sb.block("if inj == tgt:"):
-            sb.line("mc.injected = True")
-            sb.line(f"mc.injected_index = {i}")
-            if kind == 1:
-                sb.line(f"rg[{self.gpr_dest[i]}] ^= {burst}")
-                if self.set:
-                    sb.line("fl ^= _FM[bit % 5]")
-            elif kind == 2:
-                d = self.xmm_dest[i]
-                sb.line(f"xm[{d}] = _mach._b2f(_mach._f2b(xm[{d}])"
-                        f" ^ {burst})")
-            else:
-                sb.line("fl ^= _FM[bit % 5]")
-                if self.set:
-                    sb.line("fl ^= _FM[(bit + 1) % 5]")
-        sb.line("inj += 1")
 
     def emit_cf_site(self, sb: SourceBuilder, i: int, to_expr: str) -> None:
         """Control-flow injection site at a jmp/jcc/call chunk tail:
@@ -331,20 +305,10 @@ class _Emitter(_Decoder):
         with sb.block(f"if s + {span_len} > ms:"):
             sb.line(f"return (0, {L})")
         if ninj:
+            # the chunk holds the injection target: the careful stepper
+            # runs it and applies the fault
             with sb.block(f"if inj <= tgt < inj + {ninj}:"):
-                for i in range(L, body_end):
-                    sb.line("s += 1")
-                    first = sb.next_lineno
-                    self.emit_uop(sb.line, i)
-                    # registered so a stray OverflowError converts to
-                    # the same SimTrap the decoded tier raises; the
-                    # counters are already exact (offsets 0)
-                    self._register(first, sb.next_lineno, 0, 0, i)
-                    if inj_kind[i]:
-                        self.emit_flip(sb, i)
-                if kind == "ctl":
-                    sb.line("s += 1")
-                self.emit_tail(sb, chunks, leaders, L, end, kind)
+                sb.line(f"return (2, {L})")
         npre = 0
         for pos, i in enumerate(range(L, body_end)):
             first = sb.next_lineno
@@ -414,11 +378,9 @@ class _Emitter(_Decoder):
 
 
 def _generate(program: CompiledProgram, mem: Memory,
-              fault_model: str = "seu") -> CodegenProgram:
-    dp = decode_program(program, mem)
+              cf: bool) -> CodegenProgram:
     chunks, leaders = _find_chunks(program.uops, program.entry_index)
-    em = _Emitter(program, dp, mem.global_base, mem.size, mem.stack_limit,
-                  fault_model)
+    em = _Emitter(program, mem.global_base, mem.size, mem.stack_limit, cf)
     em.env["_L"] = leaders
     sb = SourceBuilder()
     em.emit(sb, chunks, leaders)
@@ -433,11 +395,13 @@ def _generate(program: CompiledProgram, mem: Memory,
 def careful_until_leader(mc, st, dp: DecodedProgram,
                          leaders: Dict[int, int], c: List[int],
                          pc: int) -> int:
-    """Single-step decoded closures from a non-leader ``pc`` (reachable
-    only via a corrupted return address) until execution re-joins a
-    leader; mirrors the decoded driver loop exactly, including the
-    fault it applies (:meth:`AsmMachine._apply_fault`) and counter
-    placement at every raise point."""
+    """Single-step decoded closures from ``pc`` until execution re-joins
+    a leader, stepping at least one uop: ``pc`` is the leader of a chunk
+    that holds the injection target, a snapshot's mid-chunk pc, or where
+    a corrupted return address or a cf redirect sent execution.  Mirrors
+    the decoded driver loop exactly, including the fault it applies
+    (:meth:`AsmMachine._apply_fault`) and counter placement at every
+    raise point."""
     fns = dp.fns
     inj_kind = (dp.program.cf_kind if mc.fault_model == "cf"
                 else dp.program.inj_kind)
@@ -447,8 +411,6 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
     target = c[2]
     try:
         while True:
-            if pc in leaders:
-                return pc
             try:
                 f = fns[pc]
             except IndexError:
@@ -468,6 +430,8 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
                     mc.injected = True
                     pc = mc._apply_fault(st, dp, cur, pc, kind)
                 injectable += 1
+            if pc in leaders:
+                return pc
     finally:
         c[0] = steps
         c[1] = injectable

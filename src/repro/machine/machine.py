@@ -847,9 +847,11 @@ class AsmMachine(Simulator):
         """Generated-code twin of :meth:`_decoded` (DESIGN §13).
 
         Drives the specialized executor chunk to chunk; drops to the
-        decoded single-stepper when a corrupted return address leaves
-        the leader map, and hands the whole run to the decoded core
-        when the step budget could expire inside the next chunk.
+        decoded single-stepper for the chunk that holds the injection
+        target and wherever execution leaves the leader map (a
+        mid-chunk snapshot, a corrupted return address, a cf redirect),
+        and hands the whole run to the decoded core when the step
+        budget could expire inside the next chunk.
         """
         from .codegen import careful_until_leader, codegen_program
         from .decode import _Halt, decode_program
@@ -867,20 +869,21 @@ class AsmMachine(Simulator):
         c = [steps, injectable, target, self.inject_bit]
         run = cp.run
         leaders = cp.leaders
+        k = leaders.get(pc)
         try:
             while True:
-                k = leaders.get(pc)
                 if k is None:
                     try:
                         pc = careful_until_leader(self, st, dp, leaders,
                                                   c, pc)
                     except _Halt:
                         break
-                    continue
+                    k = leaders[pc]
                 r = run(self, st, c, k)
                 tag = r[0]
                 if tag == 2:
                     pc = r[1]
+                    k = None
                 elif tag == 1:
                     break
                 else:

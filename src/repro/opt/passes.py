@@ -274,11 +274,13 @@ def simplify_cfg(module: Module) -> int:
 
 # -- pipeline -------------------------------------------------------------------------
 
+#: rounds of the pass pipeline before giving up on a fixpoint
+_MAX_ITERATIONS = 10
+
 
 def optimize_module(
     module: Module,
     allow_protected: bool = False,
-    max_iterations: int = 10,
 ) -> OptStats:
     """Run the pipeline to a fixpoint; returns per-pass change counts.
 
@@ -297,7 +299,7 @@ def optimize_module(
                     "study that deliberately"
                 )
     stats = OptStats()
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         round_changes = 0
         n = constant_fold(module)
         stats.bump("constant_fold", n)

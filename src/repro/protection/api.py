@@ -55,7 +55,6 @@ def protect(
     solver: str = "greedy",
     profile_campaigns: int = 1000,
     profile_seed: int = 0,
-    verify: bool = True,
     selected: Optional[Set[int]] = None,
 ) -> ProtectedProgram:
     """Protect ``module`` in place at the given protection level.
@@ -83,8 +82,7 @@ def protect(
     stats: Dict[str, int] = {}
     if flowery:
         stats = apply_flowery(module, dup_info)
-    if verify:
-        verify_module(module)
+    verify_module(module)
     return ProtectedProgram(
         module=module,
         level=level,

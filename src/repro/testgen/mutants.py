@@ -648,19 +648,14 @@ def _wrong_operand_patch(ctx: _Context):
 
 
 def _dropped_flip_patch(ctx: _Context):
-    """Emit injection sites without the flip hook: golden runs are
-    unaffected, but armed injections silently never land in generated
-    code."""
+    """Never hand the chunk holding the injection target to the careful
+    stepper: golden runs are unaffected, but the coalesced chunk runs
+    over the target and armed injections silently never land."""
 
-    def no_flip(self, sb, inst, expr):
-        iid = inst.iid
-        sb.line(f"t{iid} = {expr}")
-        sb.line("inj += 1")
-        self.local.add(iid)
-        if iid in self.escaping:
-            sb.line(f"t[{iid}] = t{iid}")
+    def no_handoff(self, sb, position, nsites):
+        pass
 
-    return _patched(_ircodegen._Emitter, "emit_value", no_flip)
+    return _patched(_ircodegen._Emitter, "emit_handoff", no_handoff)
 
 
 def _sig_codegen(res) -> tuple:
@@ -887,7 +882,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "generator inlines the wrong operand literal (low bit flip)",
            _wrong_operand_patch),
     Mutant("codegen-dropped-flip-hook", "codegen", "codegen", "none",
-           "generated source omits the injection flip hook",
+           "generated code never hands the injection target's chunk "
+           "to the careful stepper",
            _dropped_flip_patch),
     # -- control-flow checking -----------------------------------------------
     Mutant("cfc-dropped-update", "cfc", "golden", "none",

@@ -394,10 +394,11 @@ class TestChaosSweep:
 
     def test_fuzzer_finds_unguarded_path_in_generated_code(
             self, monkeypatch):
-        # generated code routes flips through the same late
-        # module-attribute lookup as the step loops, so the fuzzer must
-        # find an unguarded fault *inside exec-compiled source* too —
-        # this proves the codegen sweep is not vacuous
+        # a codegen run lands its fault in the careful stepper, which
+        # reads the flip through the same late module-attribute lookup
+        # as the step loops, so the fuzzer must find an unguarded fault
+        # in codegen runs too — this proves the codegen sweep is not
+        # vacuous
         def bomb(value, ty, bit):
             raise RuntimeError("chaos-unguarded flip")
 

@@ -16,8 +16,11 @@ from repro.fi.campaign import (
     run_ir_campaign,
 )
 from repro.fi.parallel import WorkSpec, run_parallel_campaign
+from repro.fi.sections import traced_sites
+from repro.interp.codegen import codegen_module
 from repro.interp.interpreter import IRInterpreter
 from repro.machine import machine as asm
+from repro.machine.codegen import codegen_program
 from repro.machine.machine import AsmMachine, CompiledProgram
 from repro.memorymodel import Memory
 from repro.pipeline import build, build_from_source
@@ -210,6 +213,19 @@ class TestCodegenEquivalence:
         assert after_codegen.dyn_total > before.dyn_total
         assert _res_sig(after_codegen) == _res_sig(after_naive)
 
+    def test_seu_and_set_share_generated_code(self, built):
+        # no fault-model hook is baked into generated code: SEU and SET
+        # share one module per site rule, cf has its own
+        layout = built.layout
+        ir = {fm: codegen_module(built.module, layout, fm)
+              for fm in FAULT_MODELS}
+        mem = AsmMachine(built.compiled, layout).memory
+        asm_ = {fm: codegen_program(built.compiled, mem, fm)
+                for fm in FAULT_MODELS}
+        for gen in (ir, asm_):
+            assert gen["seu"] is gen["set"]
+            assert gen["cf"] is not gen["seu"]
+
     @pytest.mark.parametrize("runner", [_ir, _asm], ids=["ir", "asm"])
     def test_codegen_replay_matches_full_run(self, built, runner):
         # snapshots stream from the decoded core; suffixes replay on the
@@ -291,6 +307,54 @@ class TestCodegenEquivalence:
         monkeypatch.setenv("REPRO_ENGINE", "0")
         clean = run_parallel_campaign(spec, cfg, workers=1)
         assert campaign_signature(resumed) == campaign_signature(clean)
+
+
+@pytest.fixture(scope="module")
+def handoff_builds():
+    # crc32 makes no real call; patricia's chunks start after calls
+    # and end at calls with a result
+    return {"crc32": build("crc32", scale="tiny"),
+            "crc32-dup100": build("crc32", scale="tiny", level=100),
+            "patricia": build("patricia", scale="tiny")}
+
+
+class TestCodegenHandoff:
+    """A codegen run hands the chunk holding the injection target to the
+    layer's careful stepper, which lands the fault.  Injecting at the
+    first dynamic index of every static site reaches every position a
+    site can take in its chunk: first, mid-chunk, after a call, a call
+    at the chunk tail.  Each index runs as a full codegen run and as a
+    codegen replay from a decoded checkpoint; both must equal the full
+    naive run."""
+
+    @pytest.mark.parametrize("fault_model,bit",
+                             [("seu", 0), ("seu", 63), ("set", 0)])
+    @pytest.mark.parametrize("program",
+                             ["crc32", "crc32-dup100", "patricia"])
+    @pytest.mark.parametrize("layer", ["ir", "asm"])
+    def test_first_index_of_every_static_site(self, handoff_builds, layer,
+                                              program, fault_model, bit):
+        lay = _Layer.of(handoff_builds[program], layer, fault_model)
+        golden, seq = traced_sites(lay)
+        first = {}
+        for idx, site in enumerate(seq):
+            first.setdefault(site, idx)
+        targets = sorted(first.values())
+        snaps = {}
+        lay.simulator("decoded").run(
+            checkpoints=targets,
+            checkpoint_cb=lambda i, s: snaps.update({i: s}))
+        max_steps = CampaignConfig().max_steps(golden.dyn_total)
+        replayer = lay.simulator("codegen", max_steps)
+        for idx in targets:
+            want = _res_sig(lay.simulator("naive", max_steps).run(
+                inject_index=idx, inject_bit=bit))
+            full = lay.simulator("codegen", max_steps).run(
+                inject_index=idx, inject_bit=bit)
+            assert _res_sig(full) == want, f"full run, idx={idx}"
+            replay = replayer.run(inject_index=idx, inject_bit=bit,
+                                  resume_from=snaps[idx])
+            assert _res_sig(replay) == want, f"replay, idx={idx}"
 
 
 class TestCampaignEquivalence:
