@@ -3,13 +3,15 @@
 Campaigns are embarrassingly parallel: every injection is an
 independent re-execution.  On multi-core hosts this module fans a
 campaign out over worker processes; each worker rebuilds the pipeline
-from a compact :class:`WorkSpec` (source + protection parameters)
-because compiled program graphs are cheaper to rebuild than to pickle.
+once from a compact :class:`WorkSpec` (source + protection parameters),
+because compiled program graphs are cheaper to rebuild than to pickle,
+and then serves every chunk the supervisor sends it.
 
 :func:`run_parallel_campaign` is the build phase plus the campaign
 driver of :mod:`repro.fi.campaign`: with ``workers > 1`` its executor
 hands the samples to the resilience layer (:mod:`repro.fi.resilience`)
-— bounded-size chunks with per-chunk watchdogs and crash retry — and
+— bounded-size chunks over at most ``workers`` long-lived processes,
+with per-chunk watchdogs, crash retry and worker replacement — and
 with ``journal_path`` every classified injection lands in an on-disk
 journal that lets a killed campaign resume bit-identically.  Results
 are bit-identical for any worker count because the (index, bit) sample

@@ -15,13 +15,16 @@ campaign loop itself fault-tolerant:
   only the remainder is re-executed.
 
 * a **chunked supervisor** (:func:`run_supervised`) — replaces the old
-  single ``pool.map`` with bounded-size work units, each executed in
-  its own spawn process.  The parent drains result rows incrementally,
-  detects worker death via exit codes, enforces a per-chunk wall-clock
-  watchdog, retries lost work with smaller chunks (a chunk is declared
-  permanently failed only after :attr:`ResiliencePolicy.max_retries`
-  retries), and degrades gracefully to in-process serial execution when
-  process spawning itself is unavailable.
+  single ``pool.map`` with bounded-size work units, sent one at a time
+  to at most ``workers`` long-lived spawn processes, each of which
+  builds the program once and serves chunks until told to stop.  The
+  parent drains result rows incrementally, wakes on a worker's pipe or
+  exit, enforces a per-chunk wall-clock watchdog, replaces a dead
+  worker and retries its lost work with smaller chunks (a chunk is
+  declared permanently failed only after
+  :attr:`ResiliencePolicy.max_retries` retries), and degrades
+  gracefully to in-process serial execution when process spawning
+  itself is unavailable.
 
 Determinism: the sample list is drawn once up front from the campaign
 seed and every row is a pure function of ``(spec, idx, bit,
@@ -77,14 +80,13 @@ JOURNAL_VERSION = 3
 #: defaults of the trailing columns older row layouts lack
 _ROW_PAD = ("seu", 0)
 
-#: test-only fault hooks — each names a sentinel path; the first worker
-#: process to claim the sentinel crashes (or hangs) exactly once, which
-#: is how the test suite exercises crash recovery and the watchdog
+#: test-only fault hooks — each names a sentinel path; a worker checks
+#: it at the start of every chunk, and the first to claim the sentinel
+#: crashes (or hangs) there, so exactly one chunk per campaign is hit.
+#: This is how the test suite exercises crash recovery and the watchdog
 #: without patching code inside spawn children
 _CRASH_ENV = "REPRO_TEST_CRASH_SENTINEL"
 _HANG_ENV = "REPRO_TEST_HANG_SENTINEL"
-#: parent poll cadence while draining worker pipes (seconds)
-_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,13 @@ class ResiliencePolicy:
     #: times a chunk's samples may be re-dispatched after a crash or
     #: timeout before the campaign gives up with :class:`CampaignError`
     max_retries: int = 3
-    #: per-chunk wall-clock budget, including child start-up + rebuild
+    #: per-chunk wall-clock budget, counted from when the chunk is sent;
+    #: a worker's first chunk also covers its start-up and program build
     chunk_timeout: float = 300.0
     #: upper bound on samples per work unit (smaller chunks mean finer
     #: journal checkpoints and less work lost per crash, at the cost of
-    #: one pipeline rebuild per chunk)
+    #: one more pipe round trip and one more golden checkpointing pass
+    #: prefix per chunk)
     max_chunk: int = 64
 
     def __post_init__(self) -> None:
@@ -189,10 +193,11 @@ def campaign_key(spec: WorkSpec, config: CampaignConfig) -> str:
 
 #: process-global memo of built pipelines, keyed by the layer-independent
 #: part of the spec (the build is identical for 'ir' and 'asm' work).  A
-#: worker process that executes several chunks — or interleaved IR/asm
-#: sweeps over the same program — pays the compile cost once.  Bounded
-#: LRU so a long multi-benchmark experiment cannot accumulate program
-#: graphs without limit.
+#: pool worker builds on its first chunk and reuses the build for every
+#: later one; an in-process caller running interleaved IR/asm sweeps over
+#: the same program pays the compile cost once.  Bounded LRU so a long
+#: multi-benchmark experiment cannot accumulate program graphs without
+#: limit.
 _BUILD_CACHE: "OrderedDict[str, object]" = OrderedDict()
 _BUILD_CACHE_MAX = 8
 
@@ -439,14 +444,15 @@ class _Chunk:
 
 
 @dataclass
-class _Running:
+class _Worker:
+    """One pool process in worker slot ``slot``, serving chunks."""
+
+    slot: int
     proc: object
     conn: object
-    chunk: _Chunk
-    deadline: float
-    secs: Optional[float] = None
-    finished: bool = False
-    error: Optional[str] = None
+    #: the chunk in flight (None while idle) and its watchdog expiry
+    chunk: Optional[_Chunk] = None
+    deadline: float = 0.0
 
 
 def _consume_test_fault(env_var: str) -> bool:
@@ -469,35 +475,40 @@ def _test_fault_hook() -> None:
         time.sleep(3600)
 
 
-def _chunk_worker(conn, spec: WorkSpec,
-                  samples: List[Tuple[object, int, int]],
-                  max_steps: int, tier: str) -> None:
-    """Child entry point: rebuild, run the chunk on the parent's
-    ``tier``, stream rows back.
+def _pool_worker(conn, spec: WorkSpec, max_steps: int, tier: str) -> None:
+    """Child entry point: run every chunk the parent sends on the
+    parent's ``tier``, until it sends None.
 
+    The program is built on the first chunk and memoized
+    (:data:`_BUILD_CACHE`), so later chunks start replaying at once.
     Rows are sent one at a time so the parent can journal partial
-    progress even if this process later crashes or hangs.
+    progress even if this process later crashes or hangs.  A chunk that
+    raises is reported and the worker stays in service.  A closed pipe
+    means the parent is gone: an idle worker exits at EOF, a busy one
+    at its next failed send.
     """
     try:
-        _test_fault_hook()
-        t0 = time.perf_counter()
-        adapter = _Layer.of(_build_from_spec(spec), spec.layer,
-                            spec.fault_model)
-        _execute(adapter, samples, max_steps,
-                 lambda orig, row: conn.send(("row", orig, row)),
-                 engine=tier != "naive", dispatch=tier)
-        conn.send(("done", time.perf_counter() - t0))
-    except Exception as exc:                      # noqa: BLE001
-        # surface the failure to the supervisor; it decides on retries
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
+        while True:
+            samples = conn.recv()
+            if samples is None:
+                return
+            try:
+                _test_fault_hook()
+                t0 = time.perf_counter()
+                adapter = _Layer.of(_build_from_spec(spec), spec.layer,
+                                    spec.fault_model)
+                _execute(adapter, samples, max_steps,
+                         lambda orig, row: conn.send(("row", orig, row)),
+                         engine=tier != "naive", dispatch=tier)
+            except Exception as exc:              # noqa: BLE001
+                # surface the failure; the supervisor decides on retries
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            else:
+                conn.send(("done", time.perf_counter() - t0))
+    except (EOFError, OSError):
+        pass
     finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+        conn.close()
 
 
 def _chunk_sizes(n: int, workers: int, policy: ResiliencePolicy) -> int:
@@ -528,8 +539,12 @@ def run_supervised(
     """Execute ``samples`` (``(position, idx, bit)``) on ``workers``
     spawned processes, surviving worker crashes and hangs.
 
-    Each worker rebuilds ``spec`` and runs on ``tier`` (``"naive"``,
-    ``"decoded"`` or ``"codegen"``), as resolved by the caller.
+    At most ``min(workers, chunks)`` processes start, plus one
+    replacement per worker lost while more chunks remain than live
+    workers; all of them are stopped and joined before this returns.
+    Each worker rebuilds ``spec`` once and runs every chunk it is sent
+    on ``tier`` (``"naive"``, ``"decoded"`` or ``"codegen"``), as
+    resolved by the caller.
     ``commit(position, row)`` fires exactly once per sample, as its row
     arrives.  Any failure to create the spawn context or its processes
     degrades to in-process execution on ``adapter``, on the same tier,
@@ -559,29 +574,31 @@ def run_supervised(
         run_serially(samples)
         return
 
-    size = _chunk_sizes(len(samples), workers, policy)
-    next_id = 0
-    pending: deque = deque()
-    for start in range(0, len(samples), size):
-        pending.append(_Chunk(next_id, samples[start:start + size]))
-        next_id += 1
+    # imported here, not at module level: it pulls in subprocess and
+    # friends, which no serial campaign needs
+    from multiprocessing.connection import wait
 
-    running: List[_Running] = []
+    size = _chunk_sizes(len(samples), workers, policy)
+    pending: deque = deque(
+        _Chunk(i, samples[lo:lo + size])
+        for i, lo in enumerate(range(0, len(samples), size)))
+    next_id = len(pending)
+    slots: List[Optional[_Worker]] = [None] * workers
     degraded = False
 
-    def requeue(r: _Running, reason: str) -> None:
+    def requeue(chunk: _Chunk, reason: str) -> None:
         nonlocal next_id
-        remaining = [s for s in r.chunk.samples if s[0] not in delivered]
+        remaining = [s for s in chunk.samples if s[0] not in delivered]
         if not remaining:
             return
-        retries = r.chunk.retries + 1
+        retries = chunk.retries + 1
         if retries > policy.max_retries:
             raise CampaignError(
-                f"chunk {r.chunk.id} permanently failed after "
+                f"chunk {chunk.id} permanently failed after "
                 f"{policy.max_retries} retries ({reason}); lost samples: "
                 f"{_describe_samples(remaining)}")
         if observer is not None:
-            observer.retry(chunk=r.chunk.id, reason=reason,
+            observer.retry(chunk=chunk.id, reason=reason,
                            attempt=retries, remaining=len(remaining),
                            layer=spec.layer)
         # retry with smaller chunks: split the remainder in half so a
@@ -594,94 +611,117 @@ def run_supervised(
             pending.appendleft(_Chunk(next_id, part, retries))
             next_id += 1
 
-    def reap(r: _Running) -> None:
-        r.proc.join(timeout=5)
-        if r.proc.is_alive():
-            r.proc.kill()
-            r.proc.join()
+    def spawn(slot: int) -> Optional[_Worker]:
+        nonlocal degraded
+        conn, child_conn = ctx.Pipe()
         try:
-            r.conn.close()
-        except OSError:
-            pass
+            proc = ctx.Process(target=_pool_worker,
+                               args=(child_conn, spec, max_steps, tier),
+                               daemon=True)
+            proc.start()
+        except Exception as exc:                  # noqa: BLE001
+            conn.close()
+            degraded = True
+            if observer is not None:
+                observer.degrade(reason=f"process spawn failed: {exc}",
+                                 layer=spec.layer)
+            return None
+        finally:
+            child_conn.close()
+        slots[slot] = _Worker(slot, proc, conn)
+        return slots[slot]
+
+    def reap(w: _Worker) -> None:
+        slots[w.slot] = None
+        w.proc.join(timeout=5)
+        if w.proc.is_alive():
+            w.proc.kill()
+            w.proc.join()
+        w.conn.close()
+
+    def lost(w: _Worker) -> None:
+        """Reap a worker that died; its chunk's remainder goes back."""
+        reap(w)
+        if w.chunk is not None:
+            requeue(w.chunk, f"worker died (exitcode {w.proc.exitcode})")
+
+    def dispatch() -> None:
+        """Hand pending chunks to idle workers; start a worker in a free
+        slot only when every live one is busy."""
+        while pending and not degraded:
+            idle = [w for w in slots if w is not None and w.chunk is None]
+            w = idle[0] if idle else None
+            if w is None and None in slots:
+                w = spawn(slots.index(None))
+            if w is None:
+                return
+            w.chunk = pending.popleft()
+            # a worker's first chunk also covers its start-up and build
+            w.deadline = time.monotonic() + policy.chunk_timeout
+            try:
+                w.conn.send(w.chunk.samples)
+            except OSError:
+                lost(w)
+
+    def service(w: _Worker) -> None:
+        """Drain ``w``'s pipe, then settle its chunk: finished, failed
+        in the worker, lost with the worker, or overdue."""
+        # read liveness first: a dead worker's last rows are all piped
+        alive = w.proc.is_alive()
+        while w.chunk is not None:
+            try:
+                if not w.conn.poll():
+                    break
+                msg = w.conn.recv()
+            except (EOFError, OSError):
+                alive = False
+                break
+            if msg[0] == "row":
+                deliver(msg[1], msg[2])
+                continue
+            chunk, w.chunk = w.chunk, None
+            if msg[0] == "done":
+                if observer is not None:
+                    observer.worker(w.slot, len(chunk.samples), msg[1],
+                                    layer=spec.layer, chunk=chunk.id)
+            else:
+                requeue(chunk, f"worker error: {msg[1]}")
+        if not alive:
+            lost(w)
+        elif w.chunk is not None and time.monotonic() >= w.deadline:
+            w.proc.terminate()
+            reap(w)
+            if observer is not None:
+                observer.timeout(chunk=w.chunk.id,
+                                 seconds=policy.chunk_timeout,
+                                 layer=spec.layer)
+            requeue(w.chunk, f"watchdog timeout after "
+                             f"{policy.chunk_timeout:g}s")
 
     try:
-        while pending or running:
-            # dispatch up to one process per worker slot
-            while not degraded and pending and len(running) < workers:
-                chunk = pending.popleft()
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                try:
-                    proc = ctx.Process(
-                        target=_chunk_worker,
-                        args=(send_conn, spec, chunk.samples, max_steps,
-                              tier),
-                        daemon=True,
-                    )
-                    proc.start()
-                except Exception as exc:          # noqa: BLE001
-                    send_conn.close()
-                    recv_conn.close()
-                    pending.appendleft(chunk)
-                    degraded = True
-                    if observer is not None:
-                        observer.degrade(
-                            reason=f"process spawn failed: {exc}",
-                            layer=spec.layer)
-                    break
-                send_conn.close()
-                running.append(_Running(
-                    proc, recv_conn, chunk,
-                    deadline=time.monotonic() + policy.chunk_timeout))
-
-            if degraded and not running:
-                run_serially([s for ch in pending for s in ch.samples])
-                pending.clear()
-                continue
-
-            time.sleep(_POLL_INTERVAL)
-
-            still: List[_Running] = []
-            for r in running:
-                try:
-                    while r.conn.poll():
-                        msg = r.conn.recv()
-                        if msg[0] == "row":
-                            deliver(msg[1], msg[2])
-                        elif msg[0] == "done":
-                            r.finished = True
-                            r.secs = msg[1]
-                        elif msg[0] == "error":
-                            r.error = msg[1]
-                except (EOFError, OSError):
-                    pass        # closed pipe: liveness check decides
-                if r.finished:
-                    reap(r)
-                    if observer is not None:
-                        observer.worker(r.chunk.id, len(r.chunk.samples),
-                                        r.secs or 0.0, layer=spec.layer)
-                elif r.error is not None:
-                    reap(r)
-                    requeue(r, f"worker error: {r.error}")
-                elif not r.proc.is_alive():
-                    # crashed before reporting: every undelivered sample
-                    # goes back to the queue
-                    reap(r)
-                    requeue(r, f"worker died (exitcode "
-                               f"{r.proc.exitcode})")
-                elif time.monotonic() > r.deadline:
-                    r.proc.terminate()
-                    reap(r)
-                    if observer is not None:
-                        observer.timeout(chunk=r.chunk.id,
-                                         seconds=policy.chunk_timeout,
-                                         layer=spec.layer)
-                    requeue(r, f"watchdog timeout after "
-                               f"{policy.chunk_timeout:g}s")
-                else:
-                    still.append(r)
-            running = still
+        while True:
+            dispatch()
+            busy = [w for w in slots
+                    if w is not None and w.chunk is not None]
+            if not busy:
+                break
+            wait([x for w in busy for x in (w.conn, w.proc.sentinel)],
+                 max(0.0, min(w.deadline for w in busy) - time.monotonic()))
+            for w in busy:
+                service(w)
     finally:
-        for r in running:
-            if r.proc.is_alive():
-                r.proc.terminate()
-            reap(r)
+        # idle workers are told to stop; busy ones (an exception path)
+        # are terminated, so nothing waits on a worker's recv() or chunk
+        live = [w for w in slots if w is not None]
+        for w in live:
+            if w.chunk is not None:
+                w.proc.terminate()
+                continue
+            try:
+                w.conn.send(None)
+            except OSError:
+                pass
+        for w in live:
+            reap(w)
+    if pending:
+        run_serially([s for ch in pending for s in ch.samples])

@@ -10,10 +10,14 @@ summary table for humans.
 Event schema (one JSON object per line)::
 
     {"ev": "phase",   "name": ..., "seconds": ..., ...extra}
-    {"ev": "worker",  "worker": i, "injections": n, "seconds": s,
-     "rate": n/s}
+    {"ev": "worker",  "worker": i, "chunk": c, "injections": n,
+     "seconds": s, "rate": n/s}
     {"ev": "outcome", "counts": {...}, "total": n}
     {"ev": ...}       # free-form via emit()
+
+A ``worker`` event is one finished work unit: ``worker`` is the pool
+slot that ran it and ``chunk`` the supervisor's chunk id; an in-process
+run reports ``worker`` 0, ``"mode": "serial"`` and no ``chunk``.
 
 All timings use :func:`time.perf_counter`; events carry a monotonic
 ``t`` offset (seconds since the observer was created) rather than a
@@ -61,7 +65,11 @@ class CampaignObserver:
 
     def worker(self, worker: int, injections: int, seconds: float,
                **fields: object) -> None:
-        """Record one parallel worker's throughput."""
+        """Record one finished work unit's throughput.
+
+        ``worker`` is the pool slot that ran it (0 for an in-process
+        run; a replacement takes its dead predecessor's slot) and the
+        supervisor adds ``chunk=<id>``."""
         rate = injections / seconds if seconds > 0 else 0.0
         self.emit("worker", worker=worker, injections=injections,
                   seconds=round(seconds, 6), rate=round(rate, 2),
@@ -148,10 +156,12 @@ class CampaignObserver:
         workers = self.worker_events()
         if workers:
             lines.append("worker throughput")
-            lines.append(f"  {'worker':<8s} {'injections':>10s} "
+            lines.append(f"  {'worker':<8s} {'chunk':>6s} "
+                         f"{'injections':>10s} "
                          f"{'seconds':>10s} {'inj/s':>8s}")
             for ev in workers:
                 lines.append(f"  {ev['worker']:<8d} "
+                             f"{ev.get('chunk', '-')!s:>6s} "
                              f"{ev['injections']:>10d} "
                              f"{ev['seconds']:>10.4f} "
                              f"{ev['rate']:>8.1f}")

@@ -2,13 +2,15 @@
 checkpoint/resume, and the crash-tolerant chunked supervisor."""
 
 import json
+import multiprocessing
 import os
+import signal
 
 import pytest
 
 from repro.errors import CampaignError
 from repro.experiments import ExperimentConfig, ExperimentContext
-from repro.fi.campaign import CampaignConfig
+from repro.fi.campaign import CampaignConfig, _Layer
 from repro.fi.compose import run_incremental_campaign
 from repro.fi.parallel import WorkSpec, run_parallel_campaign
 from repro.pipeline import build_from_source
@@ -16,6 +18,7 @@ from repro.fi.resilience import (
     InjectionJournal,
     ResiliencePolicy,
     campaign_key,
+    run_supervised,
 )
 from repro.trace import CampaignObserver
 
@@ -278,9 +281,89 @@ class TestPooledTier:
         assert self._incremental(workers=2) == serial
 
 
+class _CountingContext:
+    """The spawn context, recording every process it creates; with
+    ``limit`` set, creating one more raises."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.procs = []
+        self.limit = None
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def Process(self, *args, **kwargs):
+        if self.limit is not None and len(self.procs) >= self.limit:
+            raise OSError("process limit reached")
+        proc = self._ctx.Process(*args, **kwargs)
+        self.procs.append(proc)
+        return proc
+
+
+def _count_processes(monkeypatch) -> _CountingContext:
+    import repro.fi.resilience as resilience
+
+    counting = _CountingContext(resilience.get_context("spawn"))
+    monkeypatch.setattr(resilience, "get_context", lambda kind: counting)
+    return counting
+
+
+class _KillAtFirstChunk(CampaignObserver):
+    """Observer that SIGKILLs one live pool worker when the first chunk
+    finishes."""
+
+    def __init__(self, counting: _CountingContext):
+        super().__init__()
+        self._counting = counting
+        self.killed = None
+
+    def worker(self, *args, **kwargs):
+        if self.killed is None:
+            victims = [p for p in multiprocessing.active_children()
+                       if p in self._counting.procs]
+            self.killed = victims[0].pid
+            os.kill(self.killed, signal.SIGKILL)
+        super().worker(*args, **kwargs)
+
+
 @pytest.mark.slow
 class TestSupervisor:
     """Spawn-process paths: worker crash, hang, and tiny campaigns."""
+
+    #: 40 samples in 4-sample chunks: 10 chunks over 2 workers
+    SPEC = WorkSpec(source=SRC, layer="asm")
+    CFG = CampaignConfig(n_campaigns=40, seed=6)
+    POLICY = ResiliencePolicy(max_chunk=4)
+
+    def test_workers_serve_many_chunks(self, monkeypatch):
+        ser = run_parallel_campaign(self.SPEC, self.CFG, workers=1)
+        counting = _count_processes(monkeypatch)
+        obs = CampaignObserver()
+        par = run_parallel_campaign(self.SPEC, self.CFG, workers=2,
+                                    observer=obs, policy=self.POLICY)
+        _assert_identical(par, ser)
+        assert len(counting.procs) == 2
+        events = obs.worker_events()
+        assert len(events) == 10
+        assert {e["worker"] for e in events} <= {0, 1}
+        assert sorted(e["chunk"] for e in events) == list(range(10))
+        assert all(p.exitcode is not None for p in counting.procs)
+
+    def test_worker_killed_mid_campaign_is_replaced(self, monkeypatch):
+        ser = run_parallel_campaign(self.SPEC, self.CFG, workers=1)
+        counting = _count_processes(monkeypatch)
+        obs = _KillAtFirstChunk(counting)
+        par = run_parallel_campaign(self.SPEC, self.CFG, workers=2,
+                                    observer=obs, policy=self.POLICY)
+        _assert_identical(par, ser)
+        assert obs.killed is not None
+        retries = [e for e in obs.resilience_events()
+                   if e["ev"] == "retry"]
+        assert retries and "died" in retries[0]["reason"]
+        assert len(counting.procs) == 3
+        assert {e["worker"] for e in obs.worker_events()} <= {0, 1}
+        assert all(p.exitcode is not None for p in counting.procs)
 
     def test_worker_crash_recovered_bit_identical(self, tmp_path,
                                                   monkeypatch):
@@ -296,6 +379,22 @@ class TestSupervisor:
         retries = [e for e in obs.resilience_events()
                    if e["ev"] == "retry"]
         assert retries and "died" in retries[0]["reason"]
+
+    def test_spawn_failure_with_a_live_worker_degrades(self, monkeypatch):
+        # the second spawn fails: the first worker finishes its chunk,
+        # is stopped, and the rest runs in-process
+        ser = run_parallel_campaign(self.SPEC, self.CFG, workers=1)
+        counting = _count_processes(monkeypatch)
+        counting.limit = 1
+        obs = CampaignObserver()
+        par = run_parallel_campaign(self.SPEC, self.CFG, workers=2,
+                                    observer=obs, policy=self.POLICY)
+        _assert_identical(par, ser)
+        assert [e["ev"] for e in obs.resilience_events()] == ["degrade"]
+        assert [e.get("mode") for e in obs.worker_events()] == \
+            [None, "serial"]
+        assert len(counting.procs) == 1
+        assert counting.procs[0].exitcode == 0
 
     def test_watchdog_recovers_hung_worker(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_HANG_SENTINEL",
@@ -320,6 +419,21 @@ class TestSupervisor:
         with pytest.raises(CampaignError, match="permanently failed"):
             run_parallel_campaign(spec, cfg, workers=2,
                                   policy=ResiliencePolicy(max_retries=0))
+        # the surviving worker was stopped and joined, not abandoned
+        assert multiprocessing.active_children() == []
+
+    def test_commit_error_reaches_the_caller(self):
+        # a failing sink (say, a full disk under the journal) is the
+        # caller's error, not a lost worker pipe
+        def commit(position, row):
+            raise OSError("disk full")
+
+        built = build_from_source(SRC)
+        with pytest.raises(OSError, match="disk full"):
+            run_supervised(self.SPEC, [(0, 5, 1), (1, 6, 2)], 20_000,
+                           workers=2, commit=commit,
+                           adapter=_Layer.of(built, "asm"), tier="decoded")
+        assert multiprocessing.active_children() == []
 
     def test_fewer_campaigns_than_workers(self):
         # regression: the old stride-chunk stitching mapped results to
