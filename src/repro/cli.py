@@ -36,36 +36,26 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis.rootcause import classify_campaign
-from .analysis.coverage import sdc_coverage
+# Only what most subcommands need is imported here: pool workers of
+# `stats`, `resume` and `campaign --workers N` re-import this module as
+# their spawn main module, so the experiments and the analyses are
+# imported inside the handlers that use them.
 from .benchsuite.registry import BENCHMARKS, benchmark_names, load_source
 from .faultmodel import FAULT_MODELS
 from .fi.campaign import CampaignConfig, run_asm_campaign, run_ir_campaign
 from .ir.printer import print_module
 from .pipeline import build
-from .experiments import (
-    ExperimentConfig,
-    render_compile_time,
-    render_fault_matrix,
-    render_figure2,
-    render_incremental,
-    render_figure3,
-    render_figure17,
-    render_overhead,
-    render_pruning,
-    render_table1,
-    run_compile_time,
-    run_fault_matrix,
-    run_figure2,
-    run_incremental,
-    run_figure3,
-    run_figure17,
-    run_overhead,
-    run_pruning,
-    run_table1,
-)
 
 __all__ = ["main"]
+
+#: `repro experiment` name -> the `run_*`/`render_*` suffix in
+#: :mod:`repro.experiments`
+_EXPERIMENTS = {
+    "table1": "table1", "fig2": "figure2", "fig3": "figure3",
+    "fig17": "figure17", "fault-matrix": "fault_matrix",
+    "incremental": "incremental", "pruning": "pruning",
+    "overhead": "overhead", "compile-time": "compile_time",
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -325,11 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the kill-matrix JSON here")
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp_p.add_argument(
-        "which",
-        choices=("table1", "fig2", "fig3", "fig17", "fault-matrix",
-                 "incremental", "pruning", "overhead", "compile-time"),
-    )
+    exp_p.add_argument("which", choices=tuple(_EXPERIMENTS))
 
     store_p = sub.add_parser(
         "store",
@@ -395,6 +381,9 @@ def _cmd_protect(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from .analysis.coverage import sdc_coverage
+    from .analysis.rootcause import classify_campaign
+
     cfg = CampaignConfig(n_campaigns=args.campaigns, seed=args.seed,
                          prune=args.prune, stratify=args.stratify)
     built = build(args.benchmark, scale=args.scale, level=args.level,
@@ -708,25 +697,12 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_experiment(which: str) -> int:
-    cfg = ExperimentConfig.from_env()
-    if which == "table1":
-        print(render_table1(run_table1(cfg)))
-    elif which == "fig2":
-        print(render_figure2(run_figure2(cfg)))
-    elif which == "fig3":
-        print(render_figure3(run_figure3(cfg)))
-    elif which == "fig17":
-        print(render_figure17(run_figure17(cfg)))
-    elif which == "fault-matrix":
-        print(render_fault_matrix(run_fault_matrix(cfg)))
-    elif which == "incremental":
-        print(render_incremental(run_incremental(cfg)))
-    elif which == "pruning":
-        print(render_pruning(run_pruning(cfg)))
-    elif which == "overhead":
-        print(render_overhead(run_overhead(cfg)))
-    else:
-        print(render_compile_time(run_compile_time(cfg)))
+    from . import experiments
+
+    cfg = experiments.ExperimentConfig.from_env()
+    name = _EXPERIMENTS[which]
+    run = getattr(experiments, f"run_{name}")
+    print(getattr(experiments, f"render_{name}")(run(cfg)))
     return 0
 
 

@@ -3,7 +3,8 @@
 Measures end-to-end fault-injection campaign time at both layers for
 one benchmark/scale, twice each: once on the pre-engine path (naive
 dispatch, full golden-prefix re-execution per injection) and once
-through the checkpoint-replay engine with pre-decoded dispatch.  The
+through the checkpoint-replay engine on its default replay tier, which
+the campaign executor routes per call (DESIGN §13.5).  The
 two runs must produce bit-identical :class:`CampaignResult`s — the
 speedup is only meaningful if the engine changes nothing but time — so
 the harness asserts record-level equality before reporting.

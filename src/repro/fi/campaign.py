@@ -20,7 +20,10 @@ parts:
 * **one executor** (:func:`_execute`) that runs ``(position, index,
   bit)`` samples — in-process on the checkpoint-replay engine or the
   naive oracle, or on the supervised pool when ``workers > 1`` — and
-  hands each classified row to a ``commit(position, row)`` callback;
+  hands each classified row to a ``commit(position, row)`` callback.
+  Unless a tier is forced, it routes each call's replays to the tier
+  that pays (:func:`_route`): generated code once the planned suffix
+  steps cover its build, the decoded closures otherwise;
 * a **sink** behind ``commit``: in-memory rows, the injection journal
   (:class:`repro.fi.resilience.InjectionJournal`), or the
   section-profile store (:mod:`repro.fi.compose`).
@@ -32,7 +35,8 @@ per-stratum draws in :mod:`repro.fi.prune`, per-section draws in
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +67,19 @@ DEFAULT_CAMPAIGNS = 300
 #: one injection of a plan: (position in the plan, dynamic injectable
 #: index, fault coordinate); sinks key rows by position
 Sample = Tuple[object, int, int]
+
+#: Replay-tier routing (DESIGN §13.5): an executor call replays on
+#: generated code when its planned suffix steps exceed this many per
+#: static instruction of the program (IR instructions, asm uops), on
+#: the decoded closures otherwise.  Measured over the 16 benchmarks at
+#: tiny scale, unprotected and dup-100 (SEU, 40 replays each, 2-vCPU
+#: host): a build costs 90 us per IR instruction and 93 us per asm
+#: uop, and generated code saves 245 ns per IR suffix step and 200 ns
+#: per asm step, so it breaks even at about 370 and 470 steps per
+#: instruction.  The constants are four times that, rounded: the
+#: saving per step differs about twofold between programs, and a build
+#: that is never amortized costs memory as well as time.
+ROUTE_STEPS_PER_INST = {"ir": 1500, "asm": 2000}
 
 
 def _phase(observer, name: str, **fields):
@@ -262,6 +279,29 @@ class _Layer:
         return AsmMachine(self.program, self.layout, dispatch=dispatch,
                           fault_model=self.fault_model, **options)
 
+    def static_size(self) -> int:
+        """Static instructions of the program: IR instructions or asm
+        uops (what a codegen build costs in proportion to)."""
+        if self.name == "ir":
+            return self.module.static_instruction_count()
+        return len(self.program.uops)
+
+    @contextmanager
+    def releasing_codegen(self):
+        """Drop, on exit, the generated code built for this layer's
+        program inside the block; what the caches held before stays."""
+        if self.name == "ir":
+            from ..interp.codegen import cached_codegen, release_codegen
+            owner = self.module
+        else:
+            from ..machine.codegen import cached_codegen, release_codegen
+            owner = self.program
+        keep = cached_codegen(owner)
+        try:
+            yield
+        finally:
+            release_codegen(owner, keep)
+
     def golden(self, dispatch: str = "decoded", trace=None) -> ExecResult:
         """The fault-free run; one that does not finish OK is an error.
 
@@ -338,9 +378,42 @@ def _tier(engine: Optional[bool], dispatch: Optional[str]) -> str:
     return engine_dispatch(dispatch) if engine_enabled(engine) else "naive"
 
 
+def _route(layer: _Layer, samples: Sequence[Sample],
+           golden_dyn: Optional[Tuple[int, int]], engine: Optional[bool],
+           dispatch: Optional[str], observer) -> Tuple[str, bool]:
+    """The replay tier of one executor call, and whether it was forced.
+
+    ``dispatch=``, ``REPRO_DISPATCH`` and a disabled engine force a tier
+    (:func:`_tier`).  Otherwise the call replays on ``"codegen"`` when
+    its planned suffix steps — Σ over ``samples`` of ``golden_dyn``'s
+    ``dyn_total × (1 − index / dyn_injectable)`` — exceed
+    :data:`ROUTE_STEPS_PER_INST` times the program's static size, and
+    on ``"decoded"`` otherwise.  With an ``observer`` the decision is
+    recorded as a ``route`` event.
+    """
+    forced = (dispatch is not None or "REPRO_DISPATCH" in os.environ
+              or not engine_enabled(engine))
+    if forced and observer is None:
+        return _tier(engine, dispatch), True
+    planned = 0
+    if golden_dyn is not None and golden_dyn[1] > 0:
+        total, injectable = golden_dyn
+        planned = int(total * (len(samples) - sum(s[1] for s in samples)
+                               / injectable))
+    size = layer.static_size()
+    if forced:
+        tier = _tier(engine, dispatch)
+    else:
+        tier = ("codegen" if planned > ROUTE_STEPS_PER_INST[layer.name] * size
+                else "decoded")
+    if observer is not None:
+        observer.route(layer.name, tier, planned, size, forced)
+    return tier, forced
+
+
 def _golden(layer: _Layer, observer, engine: Optional[bool],
             dispatch: Optional[str]) -> ExecResult:
-    """The ``golden`` phase, on the tier the injections will use."""
+    """The ``golden`` phase, on the forced engine tier, else decoded."""
     with _phase(observer, "golden", layer=layer.name):
         return layer.golden(_tier(engine, dispatch))
 
@@ -374,6 +447,7 @@ def _execute(
     *,
     plan=None,
     golden_output: str = "",
+    golden_dyn: Optional[Tuple[int, int]] = None,
     engine: Optional[bool] = None,
     dispatch: Optional[str] = None,
     stats: Optional[Dict[str, int]] = None,
@@ -390,10 +464,15 @@ def _execute(
     (against ``golden_output``) and never reaches a simulator.  The
     rest run on the supervised pool when ``workers > 1`` (each worker
     rebuilds ``spec``), otherwise in-process: on the checkpoint-replay
-    engine (``engine=None`` defers to ``REPRO_ENGINE``) at tier
-    ``dispatch``, or by naive full re-execution.  The tier is resolved
-    here, once: pooled and degraded runs use it whatever their own
-    environment says.  Every path turns a ``MemoryError``/
+    engine (``engine=None`` defers to ``REPRO_ENGINE``), or by naive
+    full re-execution.  The engine's tier is ``dispatch`` (else
+    ``REPRO_DISPATCH``) when forced, else routed by the planned suffix
+    steps of the golden run's ``golden_dyn`` = ``(dyn_total,
+    dyn_injectable)`` (:func:`_route`); generated code built only
+    because routing chose it is released when the call returns.  The
+    tier is resolved here, once: pooled and degraded runs use it
+    whatever their own environment says.  Every path turns a
+    ``MemoryError``/
     ``RecursionError`` that escapes the simulator into a ``host-escape``
     trap row (DESIGN §11): it belongs to that one injection, not to the
     campaign.  ``stats`` accumulates the steps simulated in-process (see
@@ -412,7 +491,8 @@ def _execute(
     if not samples:
         return
     fm = layer.fault_model
-    tier = _tier(engine, dispatch)
+    tier, forced = _route(layer, samples, golden_dyn, engine, dispatch,
+                          observer)
     if workers > 1:
         from .resilience import run_supervised
 
@@ -429,11 +509,13 @@ def _execute(
             pos, idx, bit = sample
             commit(pos, _row_from_result(idx, bit, res, fm))
 
-        run_injection_suite(
-            layer.name, [(s, s[1], s[2]) for s in samples], max_steps,
-            module=layer.module, layout=layer.layout,
-            program=layer.program, emit=emit, dispatch=tier,
-            fault_model=fm, stats=stats)
+        with (nullcontext() if forced or tier != "codegen"
+              else layer.releasing_codegen()):
+            run_injection_suite(
+                layer.name, [(s, s[1], s[2]) for s in samples], max_steps,
+                module=layer.module, layout=layer.layout,
+                program=layer.program, emit=emit, dispatch=tier,
+                fault_model=fm, stats=stats)
         return
     for pos, idx, bit in samples:
         try:
@@ -501,7 +583,9 @@ def _run(
                 [(i, idx, bit) for i, (idx, bit) in enumerate(drawn)
                  if i not in rows],
                 config.max_steps(golden.dyn_total), commit, plan=plan,
-                golden_output=golden.output, engine=engine,
+                golden_output=golden.output,
+                golden_dyn=(golden.dyn_total, golden.dyn_injectable),
+                engine=engine,
                 dispatch=dispatch, stats=stats, workers=workers, spec=spec,
                 policy=policy, observer=observer)
     finally:
@@ -546,8 +630,9 @@ def run_ir_campaign(
     :mod:`repro.fi.engine`): ``None`` defers to ``REPRO_ENGINE``
     (default on).  Results are bit-identical either way; the engine only
     changes how much golden prefix is re-executed per injection.
-    ``dispatch`` selects the engine-path tier (``None`` defers to
-    ``REPRO_DISPATCH``, default decoded); ignored without the engine.
+    ``dispatch`` forces the engine-path tier (``None`` defers to
+    ``REPRO_DISPATCH``; when neither is set, the replays route to the
+    tier that pays, see :func:`_route`); ignored without the engine.
     ``fault_model`` selects what each injection corrupts (default SEU;
     see :mod:`repro.faultmodel`) — the golden run counts that model's
     injectable sites, so the draw universe follows the model.

@@ -13,8 +13,14 @@ into whole-program estimates with confidence intervals
 Each section profile is cached in a :class:`SectionProfileStore`, an
 append-only fsync'd JSONL journal built on the shared primitives of
 :mod:`repro.fi.journal`, keyed by a content hash over (section code,
-layer, dispatch tier, fault model, execution environment, dynamic
-signature, protection config, sampling plan).  Re-running an unchanged
+layer, fault model, execution environment, dynamic signature,
+protection config, sampling plan).  The key document still has a
+``dispatch`` field, but an incremental campaign always fills it with
+``"decoded"``: results are bit-identical across replay tiers, so the
+tier a run replays on must not split the store.  A key that misses is
+looked up again under its ``"codegen"`` alias, which is where runs
+under ``REPRO_DISPATCH=codegen`` stored their profiles and rows
+(DESIGN §15.2).  Re-running an unchanged
 program is therefore pure cache hits — zero simulated injections — and
 editing one function (or flipping one function's protection)
 re-simulates only the sections whose hashes changed.  A killed run
@@ -113,6 +119,12 @@ __all__ = [
 #: the ``kd`` key-preimage on profile commits; v1 files load unchanged.
 STORE_SCHEMA = "section-profile/1"
 STORE_VERSION = 2
+
+#: the ``dispatch`` every section key document names, whatever tier
+#: replays the section; :data:`_ALIAS_DISPATCH` is the alias a missing
+#: key is looked up under (DESIGN §15.2)
+KEY_DISPATCH = "decoded"
+_ALIAS_DISPATCH = "codegen"
 
 #: default lifetime of a section claim without a heartbeat (seconds)
 CLAIM_TTL = 30.0
@@ -215,9 +227,11 @@ def profile_key(
     """Content hash identifying one cached section profile.
 
     Two lookups share a key iff the section's code, execution layer,
-    replay tier, fault model, environment (globals), dynamic site
+    ``dispatch`` field, fault model, environment (globals), dynamic site
     profile, protection config and sampling *stream* (the seed, or the
-    exhaustive bit plan) all match.  The per-run sample *count* is
+    exhaustive bit plan) all match.  :func:`run_incremental_campaign`
+    always passes :data:`KEY_DISPATCH`, so its keys do not depend on
+    the replay tier.  The per-run sample *count* is
     deliberately NOT part of the key: it is derived from the whole
     program's site totals, so baking it in would invalidate every
     unchanged section whenever any other section was edited.  A cached
@@ -891,6 +905,9 @@ class ComposedResult:
 
     layer: str
     fault_model: str
+    #: the engine tier ``dispatch=``/``REPRO_DISPATCH`` forced, else
+    #: ``"decoded"`` (the golden tier; each executor call routes its
+    #: replays, see :func:`repro.fi.campaign._route`)
     dispatch: str
     sections: List[SectionOutcome]
     golden_output: str
@@ -1040,10 +1057,14 @@ def run_incremental_campaign(
     equivalence tests compose against whole-program exhaustive
     campaigns.
 
-    ``store=None`` runs storeless (every section simulates).  The
-    pending injections go through the campaign executor
-    (:func:`repro.fi.campaign._execute`) with the store as its sink:
-    with ``spec`` (a :class:`~repro.fi.resilience.WorkSpec`) and
+    ``store=None`` runs storeless (every section simulates).  Section
+    keys name :data:`KEY_DISPATCH` whatever tier replays them; a key
+    with no profile is looked up under its ``"codegen"`` alias, and a
+    section's journaled rows under both.  The pending injections go
+    through the campaign executor (:func:`repro.fi.campaign._execute`)
+    with the store as its sink, which routes each call's replays to a
+    tier unless ``dispatch`` (else ``REPRO_DISPATCH``) forces one: with
+    ``spec`` (a :class:`~repro.fi.resilience.WorkSpec`) and
     ``workers > 1`` under the chunked crash-tolerant supervisor,
     otherwise in-process (the checkpoint-replay engine, or the naive
     oracle under ``REPRO_ENGINE=0``).
@@ -1083,6 +1104,7 @@ def run_incremental_campaign(
 
     # -- plan: per-section sample lists, cache lookups, claims, resume --
     keys: List[str] = []
+    aliases: List[str] = []
     key_docs: List[Dict] = []
     plans: List[List[Tuple[int, int]]] = []      # (dyn index, bit) per section
     outcomes: List[Optional[SectionOutcome]] = [None] * len(sm.sections)
@@ -1103,9 +1125,9 @@ def run_incremental_campaign(
 
     def stage_for_execution(pos: int) -> None:
         """Queue the section's samples the store has not journaled."""
-        key = keys[pos]
         samples = plans[pos]
-        done = (store.partial_rows(key, len(samples))
+        done = ({**store.partial_rows(aliases[pos], len(samples)),
+                 **store.partial_rows(keys[pos], len(samples))}
                 if store is not None else {})
         replayed_rows[pos] = {i: r for i, r in done.items()
                               if i < len(samples)}
@@ -1117,12 +1139,14 @@ def run_incremental_campaign(
     for sec in sm.sections:
         pos = sec.index
         key_doc = profile_key_doc(
-            sec, sm, dispatch=tier, protection=protection,
+            sec, sm, dispatch=KEY_DISPATCH, protection=protection,
             seed=config.seed, exhaustive_bits=bits_plan,
             prune=config.prune,
         )
         key = key_from_doc(key_doc)
         keys.append(key)
+        aliases.append(key_from_doc(dict(key_doc,
+                                         dispatch=_ALIAS_DISPATCH)))
         key_docs.append(key_doc)
         if bits_plan is None:
             samples = (
@@ -1135,7 +1159,8 @@ def run_incremental_campaign(
             samples = [(dyn, b)
                        for dyn in sm.dyn_indices[pos] for b in bits_plan]
         plans.append(samples)
-        cached = store.get(key) if store is not None else None
+        cached = ((store.get(key) or store.get(aliases[pos]))
+                  if store is not None else None)
         # a cached profile with at least as many samples as this plan
         # wants is at least as precise — serve it (sample counts float
         # with the whole program's site totals, so demanding an exact
@@ -1173,7 +1198,10 @@ def run_incremental_campaign(
             return
         with _phase(observer, "inject", layer=layer, n=len(flat)):
             _execute(adapter, flat, max_steps, commit, plan=prune_plan,
-                     golden_output=sm.golden_output, dispatch=tier,
+                     golden_output=sm.golden_output,
+                     golden_dyn=(sm.golden_dyn_total,
+                                 sm.golden_dyn_injectable),
+                     dispatch=dispatch,
                      workers=workers if pooled and spec is not None else 1,
                      spec=spec, policy=policy, observer=observer)
 

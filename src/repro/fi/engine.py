@@ -69,15 +69,21 @@ def engine_enabled(flag: Optional[bool] = None) -> bool:
 
 
 def engine_dispatch(dispatch: Optional[str] = None) -> str:
-    """Resolve the dispatch tier used on the engine path.
+    """Resolve the engine tier a caller forced, or the default one.
 
     An explicit ``dispatch`` wins; otherwise ``REPRO_DISPATCH`` decides,
-    defaulting to ``"decoded"`` (campaign results are bit-identical
-    across tiers, so the default stays conservative and journal hashes
-    stay stable).  Only the snapshot tiers
-    (:data:`~repro.simulator.SNAPSHOT_TIERS`) are legal here —
-    ``"naive"`` cannot resume from checkpoints.  A typo (``"codgen"``)
-    raises :class:`CampaignError` rather than silently falling back.
+    defaulting to ``"decoded"``: the tier golden runs and set-up run
+    on, and the one whose closures every tier's checkpoints stream
+    from.  Campaign replays do not simply take this default: when
+    neither ``dispatch`` nor ``REPRO_DISPATCH`` forces a tier, the
+    campaign executor routes each call's replays to codegen or decoded
+    by whether its planned suffix steps pay for the codegen build
+    (:func:`repro.fi.campaign._route`).  Results are bit-identical
+    across tiers, and no journal or store key depends on the tier.
+    Only the snapshot tiers (:data:`~repro.simulator.SNAPSHOT_TIERS`)
+    are legal here — ``"naive"`` cannot resume from checkpoints.  A
+    typo (``"codgen"``) raises :class:`CampaignError` rather than
+    silently falling back.
     """
     resolved = (dispatch if dispatch is not None
                 else os.environ.get("REPRO_DISPATCH", "decoded"))
@@ -110,8 +116,9 @@ def run_injection_suite(
     golden trace — impossible when drawn below the injectable count, but
     guarded anyway — fall back to plain full executions.
 
-    ``dispatch`` selects the snapshot tier (see :func:`engine_dispatch`);
-    suffix replays resume on it, while the golden checkpointing pass
+    ``dispatch`` selects the snapshot tier (see :func:`engine_dispatch`;
+    the campaign executor passes the tier it forced or routed); suffix
+    replays resume on it, while the golden checkpointing pass
     always streams snapshots from the decoded core (the simulators'
     routing rule, :mod:`repro.simulator`).  ``fault_model``
     (default SEU) selects what the injection corrupts — the simulators

@@ -377,8 +377,10 @@ def run_stratified_campaign(
         with _phase(observer, phase, layer=layer, n=sum(sizes)):
             _execute(adapter, samples, max_steps, rows.__setitem__,
                      plan=plan if config.prune else None,
-                     golden_output=golden.output, engine=engine,
-                     dispatch=dispatch, stats=stats)
+                     golden_output=golden.output,
+                     golden_dyn=(golden.dyn_total, golden.dyn_injectable),
+                     engine=engine, dispatch=dispatch, stats=stats,
+                     observer=observer)
         for pos, name in enumerate(stratum_of):
             outcome, record = record_from_row(rows[pos], golden.output)
             per_stratum[name][outcome] += 1

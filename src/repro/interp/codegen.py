@@ -2,9 +2,9 @@
 
 Third dispatch tier (``dispatch="codegen"``): instead of stepping
 pre-decoded closures (one Python call per dynamic instruction), this
-module emits one specialized Python source function per IR function —
+module emits specialized Python source functions for each IR function —
 operands, constants and global addresses inlined as literals, temps held
-in Python locals where liveness allows — and ``exec``-compiles the lot
+in Python locals where liveness allows — and ``exec``-compiles them
 once per (module, layout), cached by the same content fingerprint the
 decode cache uses (so in-place module mutation invalidates generated
 code exactly when it invalidates the closures).
@@ -12,12 +12,16 @@ code exactly when it invalidates the closures).
 Shape of the generated code
 ---------------------------
 
-Each IR function becomes ``def _gN(ip, fr, c, bb)`` structured as a
-``while 1`` + chunk ladder.  A *chunk* is a basic block split at real
-call sites, so every chunk is straight-line; branches stay inside the
-function (``bb = K; continue``) while calls and returns unwind to a
-small trampoline driver in :class:`~repro.interp.interpreter
-.IRInterpreter` (no host recursion — simulated call depth is bounded by
+A *chunk* is a basic block split at real call sites and after every
+:data:`UNIT_INSTS` instructions, so every chunk is straight-line.  Each
+IR function's chunks are grouped into compile units
+(:func:`repro.simgen.compile_units`): contiguous chunk ranges of at
+most :data:`UNIT_INSTS` instructions, each one generated function
+``def _gN_K(ip, fr, c, bb)`` structured as a ``while 1`` + chunk
+ladder.  Branches inside the unit stay there (``bb = K; continue``);
+a branch to another unit, calls and returns unwind to a small
+trampoline loop in :class:`~repro.interp.interpreter.IRInterpreter`
+(no host recursion — simulated call depth is bounded by
 ``max_call_depth``, far beyond Python's recursion limit).  Action
 tuples returned to the driver:
 
@@ -30,6 +34,8 @@ tuples returned to the driver:
 * ``(4,)``      — hand-off: the injection target is one of the chunk's
   sites; the frame has been positioned at the chunk start and the
   driver's careful stepper runs the chunk.
+* ``(5, bb)``   — the transfer left the unit: continue at chunk ``bb``
+  of the same function.
 
 Each chunk is emitted once, with loads/stores inlined (no helper call)
 and both counters coalesced into a single ``dt += N; inj += M`` at the
@@ -52,7 +58,7 @@ through the carrier ``c`` in a ``finally`` — so at *every* possible
 raise point (traps, checker detections, containment budgets, host
 escapes out of a corrupted step) they match the naive and decoded tiers
 bit-for-bit.  Chunks keep this exact despite coalescing via a
-raise-site fixup table: every generated line is mapped to its
+raise-site fixup table per unit: every generated line is mapped to its
 ``(dt, inj)`` offsets from the chunk entry, and an ``except`` arm in
 the generated function looks up the faulting line number in the
 traceback and repairs the counters before re-raising.  The careful
@@ -73,8 +79,9 @@ share one generated module; they differ only in the corruption the
 careful stepper applies.  Under the control-flow model value sites
 vanish (no hand-off, no ``inj`` accounting mid-chunk) and the
 ``br``/``condbr`` tails become the injection sites: each allocates one
-index and, on a hit, records the corrupted edge and jumps to a
-uniformly drawn block-entry chunk of the current function.
+index and, on a hit, records the corrupted edge and continues, through
+the trampoline, at a uniformly drawn block-entry chunk of the current
+function.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ from ..ir.intrinsics import (
 )
 from ..ir.module import Function, Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from ..simgen import SourceBuilder, compile_generated
+from ..simgen import SourceBuilder, compile_units
 from .decode import (
     K_CALL0,
     K_CALL1,
@@ -110,7 +117,11 @@ from .decode import (
 )
 from .layout import GlobalLayout
 
-__all__ = ["CodegenFunction", "CodegenModule", "codegen_module"]
+__all__ = ["CodegenFunction", "CodegenModule", "codegen_module",
+           "cached_codegen", "release_codegen", "UNIT_INSTS"]
+
+#: compile-unit budget: no chunk and no unit holds more IR instructions
+UNIT_INSTS = 60
 
 _TERMINATORS = frozenset(("br", "condbr", "ret", "unreachable"))
 #: entry kinds of the value rule that allocate an injectable index, and
@@ -120,31 +131,40 @@ _REAL_CALLS = (K_CALL0, K_CALL1)
 
 
 class CodegenFunction:
-    """Generated callable plus the chunk map needed to (re-)enter it."""
+    """Generated callables plus the chunk map needed to (re-)enter them."""
 
-    __slots__ = ("fn", "run", "entry_bb")
+    __slots__ = ("fn", "units", "entry_bb", "unit_sizes")
 
-    def __init__(self, fn: Function, entry_bb: Dict[Tuple[object, int], int]):
+    def __init__(self, fn: Function, units: List,
+                 entry_bb: Dict[Tuple[object, int], int],
+                 unit_sizes: Tuple[int, ...]):
         self.fn = fn
-        self.run = None  # filled after exec
+        #: chunk id -> the generated function of the unit holding it
+        self.units = units
         #: (block, instruction index) -> chunk id, for every chunk
-        #: boundary: block starts and after-call positions
+        #: boundary: block starts, after-call positions and cut points
         self.entry_bb = entry_bb
+        #: IR instructions per compile unit
+        self.unit_sizes = unit_sizes
 
 
 class CodegenModule:
     """Module-wide codegen result, cached like the decode cache."""
 
-    __slots__ = ("module", "dm", "functions", "source", "env")
+    __slots__ = ("module", "dm", "functions", "env")
 
     def __init__(self, module: Module, dm: DecodedModule,
-                 functions: Dict[Function, CodegenFunction],
-                 source: str, env: dict):
+                 functions: Dict[Function, CodegenFunction], env: dict):
         self.module = module
         self.dm = dm
         self.functions = functions
-        self.source = source
         self.env = env
+
+    @property
+    def unit_sizes(self) -> Tuple[int, ...]:
+        """IR instructions per compile unit, over every function."""
+        return tuple(n for gf in self.functions.values()
+                     for n in gf.unit_sizes)
 
 
 _CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = \
@@ -175,6 +195,26 @@ def codegen_module(module: Module, layout: GlobalLayout,
     return gm
 
 
+def cached_codegen(module: Module) -> Tuple[CodegenModule, ...]:
+    """Every generated module the cache holds for ``module``."""
+    cached = _CACHE.get(module)
+    return () if cached is None else tuple(cached[2].values())
+
+
+def release_codegen(module: Module, keep: Tuple[CodegenModule, ...]) -> None:
+    """Drop every generated module cached for ``module`` that is not in
+    ``keep`` (what :func:`cached_codegen` returned earlier)."""
+    cached = _CACHE.get(module)
+    if cached is None:
+        return
+    by_rule = cached[2]
+    for rule, gm in list(by_rule.items()):
+        if not any(gm is k for k in keep):
+            del by_rule[rule]
+    if not by_rule:
+        del _CACHE[module]
+
+
 class _Emitter(_Decoder):
     """Reuses the decoder's operand/expression machinery to emit source
     statements instead of compiling closures."""
@@ -182,15 +222,17 @@ class _Emitter(_Decoder):
     def __init__(self, module: Module, layout: GlobalLayout, cf: bool):
         # cf rule: value sites vanish, br/condbr tails inject
         super().__init__(module, layout, cf)
-        #: raise-site fixup table: generated source line number ->
-        #: (dt, inj) offsets from the chunk entry, for chunk lines
-        #: whose counter updates are coalesced at the chunk exit
+        #: raise-site fixup table of the unit being emitted: generated
+        #: source line number -> (dt, inj) offsets from the chunk
+        #: entry, for chunk lines whose counter updates are coalesced
+        #: at the chunk exit
         self.fix: Dict[int, Tuple[int, int]] = {}
+        #: chunk range of the unit being emitted
+        self.unit = (0, 0)
         self.env.update({
             "_SimTrap": SimTrap,
             "_FaultDetected": FaultDetected,
             "_IRError": IRError,
-            "_FIX": self.fix,
             "_ifb": int.from_bytes,
             "_upf": _PACK_F64.unpack_from,
         })
@@ -367,6 +409,16 @@ class _Emitter(_Decoder):
         sb.line(f"return (2, {self.dfn_names[callee]}, _a, "
                 f"{ret_iid}, None, {after})")
 
+    def goto(self, sb: SourceBuilder, k: int) -> None:
+        """Continue at chunk ``k``: in this unit's dispatch tree, or
+        through the trampoline when ``k`` belongs to another unit."""
+        lo, hi = self.unit
+        if lo <= k < hi:
+            sb.line(f"bb = {k}")
+            sb.line("continue")
+        else:
+            sb.line(f"return (5, {k})")
+
     def emit_term(self, sb: SourceBuilder, inst: Instruction,
                   fn: Function, block, entry_bb) -> None:
         op = inst.opcode
@@ -374,8 +426,7 @@ class _Emitter(_Decoder):
             if self.cf:
                 self._emit_cf_site(sb, inst, fn, block,
                                    normal_label=repr(inst.target.label))
-            sb.line(f"bb = {entry_bb[(inst.target, 0)]}")
-            sb.line("continue")
+            self.goto(sb, entry_bb[(inst.target, 0)])
         elif op == "condbr":
             cond = self.operand(inst.operands[0])
             then_bb = entry_bb[(inst.then_block, 0)]
@@ -389,10 +440,15 @@ class _Emitter(_Decoder):
                     sb, inst, fn, block,
                     normal_label=(f"({inst.then_block.label!r} if _cv "
                                   f"else {inst.else_block.label!r})"))
-                sb.line(f"bb = {then_bb} if _cv else {else_bb}")
-            else:
+                cond = "_cv"
+            lo, hi = self.unit
+            if lo <= then_bb < hi and lo <= else_bb < hi:
                 sb.line(f"bb = {then_bb} if {cond} else {else_bb}")
-            sb.line("continue")
+                sb.line("continue")
+            else:
+                with sb.block(f"if {cond}:"):
+                    self.goto(sb, then_bb)
+                self.goto(sb, else_bb)
         elif op == "ret":
             rv = self.operand(inst.operands[0]) if inst.operands else "None"
             sb.line(f"return (1, {rv})")
@@ -403,10 +459,11 @@ class _Emitter(_Decoder):
     def _emit_cf_site(self, sb: SourceBuilder, inst: Instruction,
                       fn: Function, block, normal_label: str) -> None:
         """Control-flow injection site at a br/condbr tail: allocate one
-        index; on a hit record the corrupted edge and jump to the
-        uniformly drawn block-entry chunk instead of the normal target.
-        Counters are exact here — the chunk's ``dt`` coalesce has
-        already run and ``inj`` carries no mid-chunk sites under cf."""
+        index; on a hit record the corrupted edge and continue, through
+        the trampoline, at the uniformly drawn block-entry chunk instead of
+        the normal target.  Counters are exact here — the chunk's
+        ``dt`` coalesce has already run and ``inj`` carries no
+        mid-chunk sites under cf."""
         tname, lname, nb = self._cf_fn
         with sb.block("if inj == tgt:"):
             sb.line("inj += 1")
@@ -416,8 +473,7 @@ class _Emitter(_Decoder):
                     f"'from': {block.label!r}, 'iid': {inst.iid}, "
                     f"'to': {normal_label}, "
                     f"'redirect': {lname}[bit % {nb}]}}")
-            sb.line(f"bb = {tname}[bit % {nb}]")
-            sb.line("continue")
+            sb.line(f"return (5, {tname}[bit % {nb}])")
         sb.line("inj += 1")
 
     def emit_handoff(self, sb: SourceBuilder, position: str,
@@ -436,14 +492,17 @@ class _Emitter(_Decoder):
 
     # -- per-function emission -------------------------------------------
 
-    def emit_function(self, sb: SourceBuilder, fn: Function,
-                      dfn: DecodedFunction, gname: str):
-        # chunk structure: blocks split after every real call site
+    def emit_function(self, fn: Function, dfn: DecodedFunction,
+                      n: int) -> CodegenFunction:
+        # chunk structure: blocks split after every real call site and
+        # after every UNIT_INSTS instructions
         chunks: List[Tuple[object, int, int]] = []
         for block in fn.blocks:
             start = 0
+            last = len(block.instructions) - 1
             for i, e in enumerate(dfn.pairs[block][1]):
-                if e[0] in _REAL_CALLS:
+                if e[0] in _REAL_CALLS or (
+                        i + 1 - start == UNIT_INSTS and i < last):
                     chunks.append((block, start, i + 1))
                     start = i + 1
             chunks.append((block, start, len(block.instructions)))
@@ -475,23 +534,7 @@ class _Emitter(_Decoder):
                             and iid_chunk.get(op.iid) != k:
                         self.escaping.add(op.iid)
 
-        sb.line(f"def {gname}(ip, fr, c, bb):")
-        sb.indent()
-        for line in ("t = fr.temps", "av = fr.arg_values",
-                     "mem = ip.memory", "out = ip.outputs",
-                     "md = mem.data", "GB = mem.global_base",
-                     "MSZ = mem.size",
-                     "LE = mem.lo_end", "HS = mem.hi_start",
-                     "SL = mem.stack_limit", "ms = ip.max_steps",
-                     "dt = c[0]", "inj = c[1]", "tgt = c[2]",
-                     "bit = c[3]"):
-            sb.line(line)
-        sb.line("try:")
-        sb.indent()
-        sb.line("while 1:")
-        sb.indent()
-
-        def emit_chunk(k: int) -> None:
+        def emit_chunk(sb: SourceBuilder, k: int) -> None:
             block, start, end = chunks[k]
             insts = block.instructions
             code = dfn.pairs[block][1]
@@ -537,66 +580,67 @@ class _Emitter(_Decoder):
                                     end - 1, entry_bb)
             elif tail_term:
                 self.emit_term(sb, last, fn, block, entry_bb)
+            elif end < len(insts):      # a cut point inside the block
+                self.goto(sb, entry_bb[(block, end)])
             else:
                 felloff = f"fell off block {block.label} in @{fn.name}"
                 sb.line(f"raise _IRError({felloff!r})")
 
-        def emit_tree(lo: int, hi: int) -> None:
-            # balanced dispatch: O(log n) compares per block transition
-            # instead of a linear if/elif scan (chunk ids are internal,
-            # produced only by generated branches and validated
-            # `entry_bb` lookups, so every leaf is exact)
-            if hi - lo == 1:
-                emit_chunk(lo)
-            elif hi - lo == 2:
-                with sb.block(f"if bb == {lo}:"):
-                    emit_chunk(lo)
-                with sb.block("else:"):
-                    emit_chunk(lo + 1)
-            else:
-                mid = (lo + hi) // 2
-                with sb.block(f"if bb < {mid}:"):
-                    emit_tree(lo, mid)
-                with sb.block("else:"):
-                    emit_tree(mid, hi)
+        def emit_unit(sb: SourceBuilder, lo: int, hi: int) -> str:
+            name = f"_g{n}_{lo}"
+            self.unit = (lo, hi)
+            self.fix = {}
+            self.env[f"_FIX{n}_{lo}"] = self.fix
+            sb.line(f"def {name}(ip, fr, c, bb):")
+            sb.indent()
+            for line in ("t = fr.temps", "av = fr.arg_values",
+                         "mem = ip.memory", "out = ip.outputs",
+                         "md = mem.data", "GB = mem.global_base",
+                         "MSZ = mem.size",
+                         "LE = mem.lo_end", "HS = mem.hi_start",
+                         "SL = mem.stack_limit", "ms = ip.max_steps",
+                         "dt = c[0]", "inj = c[1]", "tgt = c[2]",
+                         "bit = c[3]"):
+                sb.line(line)
+            sb.line("try:")
+            sb.indent()
+            sb.line("while 1:")
+            sb.indent()
 
-        emit_tree(0, len(chunks))
-        sb.dedent()  # while
-        sb.dedent()  # try
-        sb.line("except BaseException as e:")
-        sb.indent()
-        # coalesced chunk counters: repair from the faulting line
-        sb.line("_o = _FIX.get(e.__traceback__.tb_lineno)")
-        with sb.block("if _o is not None:"):
-            sb.line("dt += _o[0]; inj += _o[1]")
-        sb.line("raise")
-        sb.dedent()
-        sb.line("finally:")
-        sb.indent()
-        sb.line("c[0] = dt; c[1] = inj")
-        sb.dedent()
-        sb.dedent()  # def
-        return entry_bb
+            sb.dispatch(lo, hi, lambda k: emit_chunk(sb, k))
+            sb.dedent()  # while
+            sb.dedent()  # try
+            sb.line("except BaseException as e:")
+            sb.indent()
+            # coalesced chunk counters: repair from the faulting line
+            sb.line(f"_o = _FIX{n}_{lo}.get(e.__traceback__.tb_lineno)")
+            with sb.block("if _o is not None:"):
+                sb.line("dt += _o[0]; inj += _o[1]")
+            sb.line("raise")
+            sb.dedent()
+            sb.line("finally:")
+            sb.indent()
+            sb.line("c[0] = dt; c[1] = inj")
+            sb.dedent()
+            sb.dedent()  # def
+            return name
+
+        units, unit_sizes = compile_units(
+            [end - start for _block, start, end in chunks], UNIT_INSTS,
+            emit_unit, self.env,
+            f"<ir-codegen:{getattr(self.module, 'name', 'module')}"
+            f"@{fn.name}>")
+        return CodegenFunction(fn, units, entry_bb, unit_sizes)
 
 
 def _generate(module: Module, layout: GlobalLayout,
               fault_model: str) -> CodegenModule:
     dm = decode_module(module, layout, fault_model)
     em = _Emitter(module, layout, fault_model == "cf")
-    sb = SourceBuilder()
     fn_list = list(dm.functions.items())
     for n, (fn, dfn) in enumerate(fn_list):
         em.dfn_names[fn] = f"_dfn{n}"
         em.env[f"_dfn{n}"] = dfn
-    functions: Dict[Function, CodegenFunction] = {}
-    for n, (fn, dfn) in enumerate(fn_list):
-        entry_bb = em.emit_function(sb, fn, dfn, f"_g{n}")
-        functions[fn] = CodegenFunction(fn, entry_bb)
-        sb.blank()
-    source = sb.source()
-    code = compile_generated(
-        source, f"<ir-codegen:{getattr(module, 'name', 'module')}>")
-    exec(code, em.env)
-    for n, (fn, _dfn) in enumerate(fn_list):
-        functions[fn].run = em.env[f"_g{n}"]
-    return CodegenModule(module, dm, functions, source, em.env)
+    functions = {fn: em.emit_function(fn, dfn, n)
+                 for n, (fn, dfn) in enumerate(fn_list)}
+    return CodegenModule(module, dm, functions, em.env)

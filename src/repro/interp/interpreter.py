@@ -560,10 +560,12 @@ class IRInterpreter(Simulator):
         Generated functions execute whole chunks and return action
         tuples (see :mod:`repro.interp.codegen`); this loop handles the
         frame pushes/pops (with the decoded loop's exact depth and
-        stack-overflow semantics), return-value flips, the hand-off of
-        the chunk holding the injection target to the careful stepper,
-        and the fallback onto the decoded loop when the step budget is
-        about to expire.  ``bb`` -1 enters through the hand-off.
+        stack-overflow semantics), return-value flips, re-entry into
+        the compile unit that holds a branch's target chunk, the
+        hand-off of the chunk holding the injection target to the
+        careful stepper, and the fallback onto the decoded loop when
+        the step budget is about to expire.  ``bb`` -1 enters through
+        the hand-off.
         """
         c = [self.dyn_total, self.dyn_injectable,
              self.inject_index if self.inject_index is not None else -1,
@@ -576,9 +578,11 @@ class IRInterpreter(Simulator):
             r = None if bb >= 0 else (4,)
             while True:
                 if r is None:
-                    r = fns[frame.fn].run(self, frame, c, bb)
+                    r = fns[frame.fn].units[bb](self, frame, c, bb)
                 tag = r[0]
-                if tag == 1:        # ret
+                if tag == 5:        # the branch left its unit
+                    bb = r[1]
+                elif tag == 1:      # ret
                     rv = r[1]
                     self.sp = frame.sp_save
                     if not stack:

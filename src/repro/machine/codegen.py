@@ -7,18 +7,24 @@ memory bounds and branch targets inlined as literals — compiled with
 :func:`repro.simgen.cache.compile_generated` and cached per memory
 geometry, exactly like the decode cache.
 
-Unlike the IR backend (one generated function per IR function, frames
+Unlike the IR backend (generated functions per IR function, frames
 driven from the interpreter), the whole uop stream is one flat address
-space, so the asm backend emits a *single* function.  Basic blocks are
-discovered from branch/call targets ("leaders"); each chunk is the run
-of uops from a leader up to and including the next control uop.  Calls
-and returns stay inside the generated function: their targets are
-leaders, so control transfer is just ``bb = <chunk>; continue`` on a
-binary dispatch tree.  What generated code does not run,
-:func:`careful_until_leader` single-steps on decoded closures until
-execution re-joins a leader: the chunk that holds the injection target,
-and any pc that is not a chunk start (a snapshot's mid-chunk pc, a
-*corrupted* return address, a control-flow fault's redirect).
+space.  Basic blocks are discovered from branch/call targets
+("leaders"); each chunk is the run of uops from a leader up to and
+including the next control uop, cut after :data:`UNIT_UOPS` uops when a
+run is longer.  Chunks are grouped into compile units
+(:func:`repro.simgen.compile_units`): contiguous chunk ranges of at
+most :data:`UNIT_UOPS` uops, each one generated function with a binary
+dispatch tree over its chunks.  Calls and returns stay in generated
+code: their targets are leaders, so a transfer inside the unit is just
+``bb = <chunk>; continue``, and one that leaves the unit returns the
+target chunk to :meth:`AsmMachine._codegen`, which re-enters the unit
+holding it.  What
+generated code does not run, :func:`careful_until_leader` single-steps
+on decoded closures until execution re-joins a leader: the chunk that
+holds the injection target, and any pc that is not a chunk start (a
+snapshot's mid-chunk pc, a *corrupted* return address, a control-flow
+fault's redirect).
 
 The per-uop bodies are not written here: :class:`_Emitter` subclasses
 the asm decoder (:class:`repro.machine.decode._Decoder`) and renders its
@@ -38,13 +44,14 @@ run here: it is handed to :func:`careful_until_leader`, which steps it
 with exact counters and applies the fault through
 :meth:`~repro.machine.machine.AsmMachine._apply_fault`, the decoded
 core's own helper.  SEU and SET therefore generate the same source; it
-is cached per site rule.  Chunk lines are recorded in a fixup table
-``_FIX`` mapping generated line number -> (steps, injectable, pc)
-offsets; the wrapper's ``except`` arms repair the counters from
-``e.__traceback__.tb_lineno`` and convert ``OverflowError`` into the
-same ``SimTrap("overflow", "pc=...")`` the other tiers raise.
+is cached per site rule.  Chunk lines are recorded in a per-unit fixup
+table (``_FIX<u>``) mapping generated line number -> (steps,
+injectable, pc) offsets; the wrapper's ``except`` arms repair the
+counters from ``e.__traceback__.tb_lineno`` and convert
+``OverflowError`` into the same ``SimTrap("overflow", "pc=...")`` the
+other tiers raise.
 
-The generated function returns action tuples to the driver loop in
+The generated functions return action tuples to the run loop in
 :meth:`AsmMachine._codegen`:
 
 ``(0, pc)``  step budget could be hit inside the next chunk — the
@@ -53,7 +60,8 @@ The generated function returns action tuples to the driver loop in
 ``(1,)``     ``main`` returned through the sentinel (halt);
 ``(2, pc)``  careful-step from ``pc`` to the next leader: the chunk at
              leader ``pc`` holds the injection target, or a return
-             address or cf redirect left the chunk starts.
+             address or cf redirect left the chunk starts;
+``(3, k)``   a transfer left the unit: continue at chunk ``k``.
 """
 
 from __future__ import annotations
@@ -62,29 +70,36 @@ from typing import Callable, Dict, List, Tuple
 
 from ..errors import ReproError, SimTrap
 from ..memorymodel import Memory
-from ..simgen import SourceBuilder, compile_generated
+from ..simgen import SourceBuilder, compile_units
 from .decode import _CC_EXPR, _CONTROL, _ENV, DecodedProgram, _Decoder
 from .machine import (
     CALL, JCC, JMP, RET, UD2, _RSP, _SENTINEL_RET, CompiledProgram,
 )
 
-__all__ = ["CodegenProgram", "codegen_program", "careful_until_leader"]
+__all__ = ["CodegenProgram", "codegen_program", "careful_until_leader",
+           "cached_codegen", "release_codegen", "UNIT_UOPS"]
+
+#: compile-unit budget: no chunk and no unit holds more uops
+UNIT_UOPS = 100
 
 
 class CodegenProgram:
     """Generated executor for one (program, memory-geometry) pair."""
 
-    __slots__ = ("program", "run", "leaders", "source", "env")
+    __slots__ = ("program", "units", "leaders", "unit_sizes", "env")
 
-    def __init__(self, program: CompiledProgram, run: Callable,
-                 leaders: Dict[int, int], source: str, env: dict):
+    def __init__(self, program: CompiledProgram, units: List[Callable],
+                 leaders: Dict[int, int], unit_sizes: Tuple[int, ...],
+                 env: dict):
         self.program = program
-        self.run = run
+        #: chunk id -> the generated function of the unit holding it
+        self.units = units
         #: uop index -> chunk id for every leader (branch/call target,
-        #: call return site, entry) — also bound as ``_L`` in the
-        #: generated module for RET dispatch
+        #: call return site, entry, cut point of a long run) — also
+        #: bound as ``_L`` in the generated module for RET dispatch
         self.leaders = leaders
-        self.source = source
+        #: uops per compile unit
+        self.unit_sizes = unit_sizes
         self.env = env
 
 
@@ -116,15 +131,32 @@ def codegen_program(program: CompiledProgram, mem: Memory,
     return cp
 
 
+def cached_codegen(program: CompiledProgram) -> Tuple[CodegenProgram, ...]:
+    """Every generated executor the cache holds for ``program``."""
+    return tuple(cp for _fp, cp in getattr(program, "_codegen", {}).values())
+
+
+def release_codegen(program: CompiledProgram,
+                    keep: Tuple[CodegenProgram, ...]) -> None:
+    """Drop every generated executor cached for ``program`` that is not
+    in ``keep`` (what :func:`cached_codegen` returned earlier)."""
+    cache = getattr(program, "_codegen", {})
+    for key, (_fp, cp) in list(cache.items()):
+        if not any(cp is k for k in keep):
+            del cache[key]
+
+
 def _find_chunks(uops: List[tuple], entry: int):
     """Leaders + chunk spans.
 
     A chunk runs from its leader up to and including the first control
     uop, or up to (excluding) the next leader (fall-through), or to the
-    end of the program (falling off is a bad-jump).  Dead uops hiding
-    between a mid-run control uop and the next leader are reachable only
-    through corrupted return addresses and are covered by the careful
-    stepper, never by generated code.
+    end of the program (falling off is a bad-jump).  A run longer than
+    :data:`UNIT_UOPS` is cut into fall-through chunks, each cut point a
+    leader of its own.  Dead uops hiding between a mid-run control uop
+    and the next leader are reachable only through corrupted return
+    addresses and are covered by the careful stepper, never by
+    generated code.
     """
     n = len(uops)
     leader_set = {entry}
@@ -142,15 +174,19 @@ def _find_chunks(uops: List[tuple], entry: int):
         j = L
         while True:
             if uops[j][0] in _CONTROL:
-                chunks.append((L, j + 1, "ctl"))
+                end, kind = j + 1, "ctl"
                 break
             j += 1
             if j == n:
-                chunks.append((L, j, "off"))
+                end, kind = j, "off"
                 break
             if j in leader_set:
-                chunks.append((L, j, "fall"))
+                end, kind = j, "fall"
                 break
+        while end - L > UNIT_UOPS:
+            chunks.append((L, L + UNIT_UOPS, "fall"))
+            L += UNIT_UOPS
+        chunks.append((L, end, kind))
     leaders = {L: k for k, (L, _end, _kind) in enumerate(chunks)}
     return chunks, leaders
 
@@ -161,9 +197,10 @@ class _Emitter(_Decoder):
 
     def __init__(self, program: CompiledProgram, lo: int, hi: int,
                  stack_limit: int, cf: bool):
+        super().__init__(program.uops, lo, hi, stack_limit, dict(_ENV))
+        #: the unit being emitted: its chunk range and fixup table
+        self.unit = (0, 0)
         self.fix: Dict[int, Tuple[int, int, int]] = {}
-        super().__init__(program.uops, lo, hi, stack_limit,
-                         dict(_ENV, _FIX=self.fix))
         self.cf = cf
         #: under cf the register-destination sites vanish (no hand-off,
         #: no coalesced inj) — control-uop chunk tails become the
@@ -203,7 +240,17 @@ class _Emitter(_Decoder):
             sb.line("return (2, _rd)")
         sb.line("inj += 1")
 
-    def emit_tail(self, sb: SourceBuilder, chunks, leaders,
+    def goto(self, sb: SourceBuilder, k: int) -> None:
+        """Continue at chunk ``k``: in this unit's dispatch tree, or
+        through the run loop when ``k`` belongs to another unit."""
+        lo, hi = self.unit
+        if lo <= k < hi:
+            sb.line(f"bb = {k}")
+            sb.line("continue")
+        else:
+            sb.line(f"return (3, {k})")
+
+    def emit_tail(self, sb: SourceBuilder, leaders,
                   L: int, end: int, kind: str) -> None:
         """Chunk exit: counters are already exact when these lines run,
         so raises here need no fixup entries."""
@@ -212,8 +259,7 @@ class _Emitter(_Decoder):
             sb.line(f'raise _SimTrap("bad-jump", "pc={n}")')
             return
         if kind == "fall":
-            sb.line(f"bb = {leaders[end]}")
-            sb.line("continue")
+            self.goto(sb, leaders[end])
             return
         i = end - 1
         u = self.uops[i]
@@ -221,8 +267,7 @@ class _Emitter(_Decoder):
         if code == JMP:
             if self.cf:
                 self.emit_cf_site(sb, i, str(u[1]))
-            sb.line(f"bb = {leaders[u[1]]}")
-            sb.line("continue")
+            self.goto(sb, leaders[u[1]])
         elif code == JCC:
             t = leaders[u[1]]
             f = leaders[i + 1] if i + 1 < n else None
@@ -235,16 +280,20 @@ class _Emitter(_Decoder):
                 cc = "_cv"
             else:
                 cc = _CC_EXPR[u[2]]
+            lo, hi = self.unit
             if f is None:
                 # fall-through past program end: mirror the decoded
                 # fetch failure
                 with sb.block(f"if {cc}:"):
-                    sb.line(f"bb = {t}")
-                    sb.line("continue")
+                    self.goto(sb, t)
                 sb.line(f'raise _SimTrap("bad-jump", "pc={n}")')
-            else:
+            elif lo <= t < hi and lo <= f < hi:
                 sb.line(f"bb = {t} if {cc} else {f}")
                 sb.line("continue")
+            else:
+                with sb.block(f"if {cc}:"):
+                    self.goto(sb, t)
+                self.goto(sb, f)
         elif code == CALL:
             nxt = i + 1
             sb.line(f"_sp = (rg[{_RSP}] - 8) & M")
@@ -262,8 +311,7 @@ class _Emitter(_Decoder):
             sb.line(f"rg[{_RSP}] = _sp")
             if self.cf:
                 self.emit_cf_site(sb, i, str(u[1]))
-            sb.line(f"bb = {leaders[u[1]]}")
-            sb.line("continue")
+            self.goto(sb, leaders[u[1]])
         elif code == RET:
             upq = self.struct_fn("up", "Q", "unpack_from")
             sb.line(f"_sp = rg[{_RSP}]")
@@ -280,8 +328,11 @@ class _Emitter(_Decoder):
             sb.line("_k = _L.get(_ra)")
             with sb.block("if _k is None:"):
                 sb.line("return (2, _ra)")
-            sb.line("bb = _k")
-            sb.line("continue")
+            lo, hi = self.unit
+            with sb.block(f"if {lo} <= _k < {hi}:"):
+                sb.line("bb = _k")
+                sb.line("continue")
+            sb.line("return (3, _k)")
         elif code == UD2:
             # the raising line below is the UD2 "execution" itself —
             # counters already include it
@@ -319,10 +370,17 @@ class _Emitter(_Decoder):
         sb.line(f"s += {span_len}")
         if ninj:
             sb.line(f"inj += {ninj}")
-        self.emit_tail(sb, chunks, leaders, L, end, kind)
+        self.emit_tail(sb, leaders, L, end, kind)
 
-    def emit(self, sb: SourceBuilder, chunks, leaders) -> None:
-        sb.line("def _asm(mc, st, c, bb):")
+    def emit_unit(self, sb: SourceBuilder, chunks, leaders,
+                  lo: int, hi: int) -> str:
+        """One compile unit: the executor of chunks ``[lo, hi)``, with
+        its own fixup table."""
+        name = f"_u{lo}"
+        self.unit = (lo, hi)
+        self.fix = {}
+        self.env[f"_FIX{lo}"] = self.fix
+        sb.line(f"def {name}(mc, st, c, bb):")
         sb.indent()
         for pre in ("rg = st.regs", "xm = st.xmm", "md = st.data",
                     "mem = st.mem", "LE = mem.lo_end", "HS = mem.hi_start",
@@ -334,28 +392,13 @@ class _Emitter(_Decoder):
         sb.indent()
         sb.line("while 1:")
         sb.indent()
-
-        def emit_tree(lo: int, hi: int) -> None:
-            if hi - lo == 1:
-                self.emit_chunk(sb, chunks, leaders, lo)
-            elif hi - lo == 2:
-                with sb.block(f"if bb == {lo}:"):
-                    self.emit_chunk(sb, chunks, leaders, lo)
-                with sb.block("else:"):
-                    self.emit_chunk(sb, chunks, leaders, lo + 1)
-            else:
-                mid = (lo + hi) // 2
-                with sb.block(f"if bb < {mid}:"):
-                    emit_tree(lo, mid)
-                with sb.block("else:"):
-                    emit_tree(mid, hi)
-
-        emit_tree(0, len(chunks))
+        sb.dispatch(lo, hi,
+                    lambda k: self.emit_chunk(sb, chunks, leaders, k))
         sb.dedent()  # while
         sb.dedent()  # try
         sb.line("except OverflowError as e:")
         sb.indent()
-        sb.line("_o = _FIX.get(e.__traceback__.tb_lineno)")
+        sb.line(f"_o = _FIX{lo}.get(e.__traceback__.tb_lineno)")
         with sb.block("if _o is not None:"):
             sb.line("s += _o[0]; inj += _o[1]")
             sb.line("raise _SimTrap('overflow', 'pc=%d' % _o[2]) from None")
@@ -363,7 +406,7 @@ class _Emitter(_Decoder):
         sb.dedent()
         sb.line("except BaseException as e:")
         sb.indent()
-        sb.line("_o = _FIX.get(e.__traceback__.tb_lineno)")
+        sb.line(f"_o = _FIX{lo}.get(e.__traceback__.tb_lineno)")
         with sb.block("if _o is not None:"):
             sb.line("s += _o[0]; inj += _o[1]")
         sb.line("raise")
@@ -375,6 +418,7 @@ class _Emitter(_Decoder):
         sb.line("st.depth = dp")
         sb.dedent()
         sb.dedent()  # def
+        return name
 
 
 def _generate(program: CompiledProgram, mem: Memory,
@@ -382,14 +426,12 @@ def _generate(program: CompiledProgram, mem: Memory,
     chunks, leaders = _find_chunks(program.uops, program.entry_index)
     em = _Emitter(program, mem.global_base, mem.size, mem.stack_limit, cf)
     em.env["_L"] = leaders
-    sb = SourceBuilder()
-    em.emit(sb, chunks, leaders)
-    source = sb.source()
-    code = compile_generated(
-        source, f"<asm-codegen:{len(program.uops)}u"
+    units, unit_sizes = compile_units(
+        [end - L for L, end, _kind in chunks], UNIT_UOPS,
+        lambda sb, lo, hi: em.emit_unit(sb, chunks, leaders, lo, hi),
+        em.env, f"<asm-codegen:{len(program.uops)}u"
                 f"@{program.entry_index}>")
-    exec(code, em.env)
-    return CodegenProgram(program, em.env["_asm"], leaders, source, em.env)
+    return CodegenProgram(program, units, leaders, unit_sizes, em.env)
 
 
 def careful_until_leader(mc, st, dp: DecodedProgram,

@@ -846,12 +846,13 @@ class AsmMachine(Simulator):
     def _codegen(self, start, resume_from: Optional[AsmSnapshot]) -> None:
         """Generated-code twin of :meth:`_decoded` (DESIGN §13).
 
-        Drives the specialized executor chunk to chunk; drops to the
-        decoded single-stepper for the chunk that holds the injection
-        target and wherever execution leaves the leader map (a
-        mid-chunk snapshot, a corrupted return address, a cf redirect),
-        and hands the whole run to the decoded core when the step
-        budget could expire inside the next chunk.
+        Drives the specialized executor chunk to chunk, re-entering the
+        compile unit that holds the target chunk when a transfer leaves
+        its unit; drops to the decoded single-stepper for the chunk
+        that holds the injection target and wherever execution leaves
+        the leader map (a mid-chunk snapshot, a corrupted return
+        address, a cf redirect), and hands the whole run to the decoded
+        core when the step budget could expire inside the next chunk.
         """
         from .codegen import careful_until_leader, codegen_program
         from .decode import _Halt, decode_program
@@ -867,7 +868,7 @@ class AsmMachine(Simulator):
         # counter carrier shared with the generated code and the
         # careful stepper: [steps, injectable, target, bit]
         c = [steps, injectable, target, self.inject_bit]
-        run = cp.run
+        units = cp.units
         leaders = cp.leaders
         k = leaders.get(pc)
         try:
@@ -879,9 +880,11 @@ class AsmMachine(Simulator):
                     except _Halt:
                         break
                     k = leaders[pc]
-                r = run(self, st, c, k)
+                r = units[k](self, st, c, k)
                 tag = r[0]
-                if tag == 2:
+                if tag == 3:        # the transfer left its unit
+                    k = r[1]
+                elif tag == 2:
                     pc = r[1]
                     k = None
                 elif tag == 1:

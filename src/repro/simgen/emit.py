@@ -10,9 +10,9 @@ __all__ = ["SourceBuilder"]
 class SourceBuilder:
     """Accumulates generated source lines with explicit indentation.
 
-    The emitters build one module-sized string, so plain string lists
-    (joined once) beat repeated concatenation; the builder just keeps
-    the indentation bookkeeping out of the emitters.
+    The emitters build one string per compile unit, so plain string
+    lists (joined once) beat repeated concatenation; this class just
+    keeps the indentation bookkeeping out of the emitters.
     """
 
     __slots__ = ("_lines", "_depth")
@@ -43,6 +43,26 @@ class SourceBuilder:
         """``with sb.block("if x:"):`` — emit header, indent the body."""
         self.line(header)
         return _Block(self)
+
+    def dispatch(self, lo: int, hi: int, leaf) -> None:
+        """Balanced dispatch on the local ``bb`` over chunk ids
+        ``[lo, hi)``: O(log n) compares per transfer instead of a linear
+        if/elif scan; ``leaf(k)`` emits chunk ``k``'s body.  Chunk ids
+        are internal, produced only by generated transfers and validated
+        lookups, so every leaf is exact."""
+        if hi - lo == 1:
+            leaf(lo)
+        elif hi - lo == 2:
+            with self.block(f"if bb == {lo}:"):
+                leaf(lo)
+            with self.block("else:"):
+                leaf(lo + 1)
+        else:
+            mid = (lo + hi) // 2
+            with self.block(f"if bb < {mid}:"):
+                self.dispatch(lo, mid, leaf)
+            with self.block("else:"):
+                self.dispatch(mid, hi, leaf)
 
     @property
     def next_lineno(self) -> int:

@@ -658,6 +658,22 @@ def _dropped_flip_patch(ctx: _Context):
     return _patched(_ircodegen._Emitter, "emit_handoff", no_handoff)
 
 
+def _unit_exit_patch(ctx: _Context):
+    """A branch that leaves its compile unit re-enters the wrong chunk:
+    the first chunk of the unit it leaves instead of its target.  Only
+    a program with more than one unit per function can show it (the
+    witness's ``main`` has two)."""
+    orig = _ircodegen._Emitter.goto
+
+    def wrong(self, sb, k):
+        lo, hi = self.unit
+        if lo <= k < hi:
+            return orig(self, sb, k)
+        sb.line(f"return (5, {lo})")
+
+    return _patched(_ircodegen._Emitter, "goto", wrong)
+
+
 def _sig_codegen(res) -> tuple:
     return (res.status.value, res.output, res.dyn_total,
             res.dyn_injectable, res.trap_kind, res.injected,
@@ -885,6 +901,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "generated code never hands the injection target's chunk "
            "to the careful stepper",
            _dropped_flip_patch),
+    Mutant("codegen-unit-exit-wrong-chunk", "codegen", "codegen", "none",
+           "a branch leaving its compile unit re-enters the first chunk "
+           "of the unit it leaves, not its target",
+           _unit_exit_patch),
     # -- control-flow checking -----------------------------------------------
     Mutant("cfc-dropped-update", "cfc", "golden", "none",
            "signature checks kept but no signature updates: every "

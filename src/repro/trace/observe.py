@@ -13,11 +13,19 @@ Event schema (one JSON object per line)::
     {"ev": "worker",  "worker": i, "chunk": c, "injections": n,
      "seconds": s, "rate": n/s}
     {"ev": "outcome", "counts": {...}, "total": n}
+    {"ev": "route",   "layer": ..., "tier": ..., "planned_steps": ...,
+     "static_size": ..., "forced": ...}
     {"ev": ...}       # free-form via emit()
 
 A ``worker`` event is one finished work unit: ``worker`` is the pool
 slot that ran it and ``chunk`` the supervisor's chunk id; an in-process
 run reports ``worker`` 0, ``"mode": "serial"`` and no ``chunk``.
+
+A ``route`` event is one call of the campaign executor: the replay tier
+it chose (DESIGN §13.5), its planned suffix steps, the program's static
+size (IR instructions or asm uops) and whether ``dispatch=``,
+``REPRO_DISPATCH`` or ``REPRO_ENGINE=0`` forced the tier.  The parent
+process emits it for pooled calls too.
 
 All timings use :func:`time.perf_counter`; events carry a monotonic
 ``t`` offset (seconds since the observer was created) rather than a
@@ -80,6 +88,13 @@ class CampaignObserver:
         self.emit("outcome", counts=dict(counts),
                   total=sum(counts.values()), **fields)
 
+    def route(self, layer: str, tier: str, planned_steps: int,
+              static_size: int, forced: bool) -> None:
+        """Record the replay tier one executor call chose."""
+        self.emit("route", layer=layer, tier=tier,
+                  planned_steps=planned_steps, static_size=static_size,
+                  forced=forced)
+
     # -- resilience events (see repro.fi.resilience) -------------------
 
     def retry(self, chunk: int, reason: str, attempt: int,
@@ -126,6 +141,9 @@ class CampaignObserver:
                     out[k] = out.get(k, 0) + v
         return out
 
+    def route_events(self) -> List[dict]:
+        return [e for e in self.events if e["ev"] == "route"]
+
     def resilience_events(self) -> List[dict]:
         """Retry / timeout / resume / degrade events, in order."""
         return [e for e in self.events
@@ -153,6 +171,17 @@ class CampaignObserver:
                 share = 100.0 * secs / total if total else 0.0
                 lines.append(f"  {name:<16s} {secs:>10.4f} {share:>6.1f}%")
             lines.append(f"  {'total':<16s} {total:>10.4f}")
+        routes = self.route_events()
+        if routes:
+            lines.append("replay tiers")
+            lines.append(f"  {'layer':<6s} {'tier':<8s} "
+                         f"{'planned steps':>14s} {'static size':>12s} "
+                         f"{'forced':>7s}")
+            for ev in routes:
+                lines.append(f"  {ev['layer']:<6s} {ev['tier']:<8s} "
+                             f"{ev['planned_steps']:>14d} "
+                             f"{ev['static_size']:>12d} "
+                             f"{'yes' if ev['forced'] else 'no':>7s}")
         workers = self.worker_events()
         if workers:
             lines.append("worker throughput")

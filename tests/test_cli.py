@@ -100,9 +100,25 @@ class TestStatsCommand:
         rows = [json.loads(ln) for ln in
                 path.read_text().strip().split("\n")]
         kinds = {r["ev"] for r in rows}
-        assert {"phase", "outcome"} <= kinds
+        assert {"phase", "outcome", "route"} <= kinds
         outcome = [r for r in rows if r["ev"] == "outcome"][0]
         assert outcome["total"] == 10
+        (route,) = [r for r in rows if r["ev"] == "route"]
+        assert route["layer"] == "ir"
+        assert route["tier"] in ("decoded", "codegen", "naive")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stats_prints_the_replay_tier(self, capsys, monkeypatch,
+                                          workers):
+        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert main(["stats", "crc32", "--scale", "tiny", "-n", "400",
+                     "--workers", workers]) == 0
+        out = capsys.readouterr().out
+        assert "replay tiers" in out
+        (row,) = [ln.split() for ln in out.splitlines()
+                  if ln.startswith("  asm ")]
+        assert row[1] == "codegen" and row[-1] == "no"
 
     def test_stats_journal_then_resume(self, capsys, tmp_path):
         journal = tmp_path / "campaign.jsonl"
@@ -172,3 +188,18 @@ class TestCliEntryPoint:
         proc = _run_cli("trace")
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower()
+
+    def test_import_leaves_experiments_and_analyses_out(self):
+        """Pool workers re-import the CLI as their spawn main module:
+        it must not pull in the experiments or the analyses."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (os.path.join(root, "src") + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('repro.experiments', 'repro.analysis'))))"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

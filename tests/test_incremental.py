@@ -276,6 +276,73 @@ class TestStore:
             seed=0, exhaustive_bits=(0, 1)) != k
 
 
+class TestTierFreeKeys:
+    """Section keys name ``"decoded"`` whatever tier replays them.  What
+    runs under ``REPRO_DISPATCH=codegen`` stored under the ``"codegen"``
+    key is served through the alias (DESIGN §15.2)."""
+
+    CFG = CampaignConfig(n_campaigns=40, seed=3)
+
+    def _codegen_keyed_store(self, monkeypatch, path):
+        """A store as a forced-codegen run wrote it before keys became
+        tier-free: every key document says ``"codegen"``."""
+        import repro.fi.compose as compose
+
+        with monkeypatch.context() as m:
+            m.setattr(compose, "KEY_DISPATCH", "codegen")
+            with SectionProfileStore(path) as store:
+                return run_incremental_campaign(
+                    _build(), "ir", self.CFG, store, dispatch="codegen")
+
+    def test_keys_do_not_depend_on_the_tier(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+        runs = []
+        for dispatch in (None, "decoded", "codegen"):
+            path = str(tmp_path / f"{dispatch}.jsonl")
+            with SectionProfileStore(path) as store:
+                runs.append(run_incremental_campaign(
+                    _build(), "ir", self.CFG, store, dispatch=dispatch))
+        keys = [[s.profile.key for s in r.sections] for r in runs]
+        assert keys[0] == keys[1] == keys[2]
+        assert runs[0].counts == runs[1].counts == runs[2].counts
+
+    @pytest.mark.parametrize("dispatch", [None, "codegen"])
+    def test_codegen_keyed_profiles_are_served(self, tmp_path, monkeypatch,
+                                               dispatch):
+        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+        path = str(tmp_path / "store.jsonl")
+        old = self._codegen_keyed_store(monkeypatch, path)
+        with SectionProfileStore(path) as store:
+            warm = run_incremental_campaign(_build(), "ir", self.CFG, store,
+                                            dispatch=dispatch)
+        assert warm.simulated == 0
+        assert warm.cache_hits == len(warm.sections)
+        assert warm.counts == old.counts
+        assert warm.summary() == old.summary()
+
+    def test_half_journaled_codegen_section_resumes(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+        path = str(tmp_path / "store.jsonl")
+        full = self._codegen_keyed_store(monkeypatch, path)
+        lines = open(path).read().splitlines(keepends=True)
+        rows = [ln for ln in lines if '"ev": "row"' in ln]
+        kept = [ln for ln in lines if '"ev": "profile"' not in ln]
+        kept = kept[: 1 + len(rows) // 2]
+        with open(path, "w") as fh:
+            fh.writelines(kept)
+
+        with SectionProfileStore(path) as store:
+            resumed = run_incremental_campaign(_build(), "ir", self.CFG,
+                                               store)
+        assert resumed.replayed == sum('"ev": "row"' in ln for ln in kept)
+        assert resumed.replayed > 0
+        assert resumed.simulated + resumed.replayed == full.n_total
+        assert resumed.counts == full.counts
+        assert [s.profile.counts for s in resumed.sections] == \
+            [s.profile.counts for s in full.sections]
+
+
 # -- composition statistics ---------------------------------------------
 
 
