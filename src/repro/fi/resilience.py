@@ -309,13 +309,20 @@ def record_from_row(row: Tuple, golden_output: str
 class InjectionJournal:
     """Append-only JSONL checkpoint of classified injections.
 
-    Schema (one JSON object per line)::
+    Schema (one JSON object per line, each sealed with the CRC32 of its
+    canonical form in a trailing ``"c"`` field, see
+    :func:`~repro.fi.journal.append_doc`)::
 
-        {"ev": "header", "version": 1, "key": <sha256>,
-         "spec": {...WorkSpec...}, "config": {...CampaignConfig...}}
+        {"ev": "header", "version": 3, "key": <sha256>,
+         "spec": {...WorkSpec...}, "config": {...CampaignConfig...},
+         "c": <crc32>}
         {"ev": "row", "i": <original sample index>, "row": [idx, bit,
          status, output, iid, asm_index, asm_role, asm_opcode,
-         trap_kind]}
+         trap_kind, fault_model, pruned], "c": <crc32>}
+
+    ``version`` is :data:`JOURNAL_VERSION` and a row holds the
+    :data:`ROW_FIELDS` columns; rows of older versions load padded
+    (:func:`normalize_row`).
 
     Every ``record()`` flushes and fsyncs, so after ``SIGKILL`` at an
     arbitrary point the file holds all fully-classified samples plus at

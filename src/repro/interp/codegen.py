@@ -25,30 +25,29 @@ trampoline loop in :class:`~repro.interp.interpreter.IRInterpreter`
 ``max_call_depth``, far beyond Python's recursion limit).  Action
 tuples returned to the driver:
 
-* ``(0,)``      — budget bail: the step budget would expire inside the
-  next chunk; the frame has been positioned at the chunk start for the
-  decoded loop, which finishes the run (and raises the budget trap at
-  exactly the same step).
 * ``(1, rv)``   — ``ret``.
 * ``(2, dfn, args, ret_iid, flip_bit, after_bb)`` — call.
-* ``(4,)``      — hand-off: the injection target is one of the chunk's
-  sites; the frame has been positioned at the chunk start and the
-  driver's careful stepper runs the chunk.
+* ``(4,)``      — the one exceptional exit: the frame has been
+  positioned at the chunk start and the careful stepper runs the chunk.
 * ``(5, bb)``   — the transfer left the unit: continue at chunk ``bb``
   of the same function.
 
 Each chunk is emitted once, with loads/stores inlined (no helper call)
 and both counters coalesced into a single ``dt += N; inj += M`` at the
-chunk exit.  The chunk that holds the injection target
-(``inj <= tgt < inj + M``) is handed to the careful stepper
-(:meth:`~repro.interp.interpreter.IRInterpreter._careful_step`), which
-steps its decoded entries with exact counters, applies the one fault of
-the run, and returns at the chunk's closing control transfer, where
-generated code takes over again.  The generator therefore states no
-per-site injection semantics of its own: which instruction is a site
-and which call pushes a frame are read from the kinds of the decoded
-entries (:mod:`repro.interp.decode`), so generated code and the decoded
-loop cannot disagree on which instruction allocates an index.
+chunk exit.  One test guards the chunk entry, ``dt + N > ms or inj <=
+tgt < inj + M`` (the second clause only where the chunk has sites):
+when the step budget could expire inside the chunk, or the chunk holds
+the injection target, the chunk goes to the careful stepper — the
+decoded loop run with the function's chunk map
+(:meth:`~repro.interp.interpreter.IRInterpreter._run_decoded`), which
+steps its entries with exact counters, raises the step-budget trap at
+the instruction naive raises it, applies the one fault of the run, and
+returns at the chunk's closing control transfer, where generated code
+takes over again.  The generator therefore states no per-site injection
+semantics of its own: which instruction is a site and which call pushes
+a frame are read from the kinds of the decoded entries
+(:mod:`repro.interp.decode`), so generated code and the decoded loop
+cannot disagree on which instruction allocates an index.
 
 Bit-identity contract
 ---------------------
@@ -68,20 +67,20 @@ runs too.
 
 Runs that need snapshots or taps delegate to the decoded loop
 (bit-identical by the equivalence suite); resuming *from* a snapshot
-runs generated code, entering through the hand-off when the snapshot
-stopped mid-chunk.  Inlined stores
-keep the memory's written extent (DESIGN §10) covering what they write
-through the ``LE``/``HS`` bound locals each function hoists at entry.
+runs generated code, entering through the careful stepper when the
+snapshot stopped mid-chunk.  Inlined stores keep the memory's written
+extent (DESIGN §10) covering what they write through the ``LE``/``HS``
+bound locals each function hoists at entry.
 
 Fault models (DESIGN §14): generation depends only on the fault model's
 site rule and is cached per (module, layout, site rule), so SEU and SET
 share one generated module; they differ only in the corruption the
 careful stepper applies.  Under the control-flow model value sites
-vanish (no hand-off, no ``inj`` accounting mid-chunk) and the
-``br``/``condbr`` tails become the injection sites: each allocates one
-index and, on a hit, records the corrupted edge and continues, through
-the trampoline, at a uniformly drawn block-entry chunk of the current
-function.
+vanish (the exit tests only the budget, no ``inj`` accounting
+mid-chunk) and the ``br``/``condbr`` tails become the injection sites:
+each allocates one index and, on a hit, records the corrupted edge and
+continues, through the trampoline, at a uniformly drawn block-entry
+chunk of the current function.
 """
 
 from __future__ import annotations
@@ -476,14 +475,14 @@ class _Emitter(_Decoder):
             sb.line(f"return (5, {tname}[bit % {nb}])")
         sb.line("inj += 1")
 
-    def emit_handoff(self, sb: SourceBuilder, position: str,
-                     nsites: int) -> None:
-        """When the injection target is one of the chunk's ``nsites``
-        sites, position the frame at the chunk start and hand the chunk
-        to the driver's careful stepper, which applies the fault."""
-        with sb.block(f"if inj <= tgt < inj + {nsites}:"):
-            sb.line(position)
-            sb.line("return (4,)")
+    def exit_clauses(self, n_entries: int, nsites: int) -> List[str]:
+        """Tests of a chunk's one exceptional exit: the step budget could
+        expire inside its ``n_entries`` steps, or the injection target
+        is one of its ``nsites`` sites."""
+        clauses = [f"dt + {n_entries} > ms"]
+        if nsites:
+            clauses.append(f"inj <= tgt < inj + {nsites}")
+        return clauses
 
     def _register_fixups(self, first: int, stop: int,
                          dt_off: int, inj_off: int) -> None:
@@ -521,7 +520,7 @@ class _Emitter(_Decoder):
 
         # liveness: temps read outside their defining chunk must cross
         # through the frame's temps dict (locals die at trampoline
-        # bounces and at the decoded fallback boundary)
+        # bounces and at the careful stepper's boundary)
         iid_chunk: Dict[int, int] = {}
         for k, (block, start, end) in enumerate(chunks):
             for inst in block.instructions[start:end]:
@@ -544,17 +543,15 @@ class _Emitter(_Decoder):
                 cname = f"_c{next(self.ng)}"
                 self.env[bname] = block
                 self.env[cname] = code
-                position = (f"fr.block = {bname}; fr.code = {cname}; "
-                            f"fr.index = {start}")
-                # budget precheck: bail to the decoded loop, which will
-                # raise the step-budget trap (or an earlier trap) at
-                # exactly the right instruction within this chunk
-                with sb.block(f"if dt + {n_entries} > ms:"):
-                    sb.line(position)
-                    sb.line("return (0,)")
                 nsites = sum(1 for e in code[start:end] if e[0] in _SITES)
-                if nsites:
-                    self.emit_handoff(sb, position, nsites)
+                # the careful stepper raises the step-budget trap (or an
+                # earlier one) at the exact instruction and applies the
+                # fault
+                test = " or ".join(self.exit_clauses(n_entries, nsites))
+                with sb.block(f"if {test}:"):
+                    sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                            f"fr.index = {start}")
+                    sb.line("return (4,)")
             last = insts[end - 1] if n_entries else None
             tail_call = (last is not None
                          and code[end - 1][0] in _REAL_CALLS)

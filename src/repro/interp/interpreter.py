@@ -376,7 +376,7 @@ class IRInterpreter(Simulator):
 
     def _run_decoded(self, frame: _Frame, stack: List[_Frame],
                      watch: Optional[Sequence[int]] = None,
-                     watch_cb=None):
+                     watch_cb=None, chunks: Optional[dict] = None):
         """The pre-decoded dispatch loop, for every fault model.
 
         Entries are ``(kind, payload, iid, inst)`` tuples decoded under
@@ -385,6 +385,14 @@ class IRInterpreter(Simulator):
         the naive loop does.  The cf-rule kinds come last in the test
         chain: SEU/SET steps run the code they always ran, and a call
         pays one extra comparison.
+
+        With ``chunks``, the codegen chunk map of the frame's function
+        (``entry_bb``), the loop is the codegen tier's careful stepper:
+        it returns at the next control transfer, which always lands on
+        a chunk boundary, with the codegen driver's action — ``(1, rv)``
+        before a return pops, ``(2, ...)`` before a call pushes, ``(5,
+        bb)`` after a branch or a cf redirect.  Only the control-transfer
+        branches test the mode.
         """
         stack_limit = self.memory.stack_limit
         max_call_depth = self.max_call_depth
@@ -442,16 +450,22 @@ class IRInterpreter(Simulator):
                     frame.block, code = e[1]
                     frame.code = code
                     i = 0
+                    if chunks is not None:
+                        return (5, chunks[frame.block, 0])
                 elif kind == 6:     # condbr
                     p = e[1]
                     frame.block, code = p[1] if p[0](self, frame) else p[2]
                     frame.code = code
                     i = 0
+                    if chunks is not None:
+                        return (5, chunks[frame.block, 0])
                 elif kind == 2:     # store / void intrinsic / raiser
                     e[1](self, frame)
                 elif kind == 4:     # ret
                     p = e[1]
                     rv = p(self, frame) if p is not None else None
+                    if chunks is not None:
+                        return (1, rv)
                     self.sp = frame.sp_save
                     if not stack:
                         return rv
@@ -483,6 +497,10 @@ class IRInterpreter(Simulator):
                             self.injected_iid = e[2]
                         inj += 1
                     dfn = p[1]
+                    if chunks is not None:
+                        frame.index = i
+                        return (2, dfn, call_args, p[2], flip_bit,
+                                chunks[frame.block, i])
                     if len(stack) >= max_call_depth:
                         raise SimTrap(
                             "stack-overflow",
@@ -518,6 +536,8 @@ class IRInterpreter(Simulator):
                     frame.block, code = pair
                     frame.code = code
                     i = 0
+                    if chunks is not None:
+                        return (5, chunks[frame.block, 0])
         except IndexError:
             raise IRError(
                 f"fell off block {frame.block.label} in @{frame.fn.name}"
@@ -533,6 +553,10 @@ class IRInterpreter(Simulator):
     # -- codegen execution core -------------------------------------------
 
     def _codegen(self, start, resume_from: Optional[IRSnapshot]):
+        """Generated-code twin of :meth:`_decoded` (DESIGN §13): a fresh
+        run enters the entry function's first chunk; a resume re-enters
+        at the chunk its innermost frame stopped at, or through the
+        careful stepper when it stopped mid-chunk."""
         from .codegen import codegen_module
 
         gm = codegen_module(self.module, self.layout, self.fault_model)
@@ -547,7 +571,7 @@ class IRInterpreter(Simulator):
             bbs = [gm.functions[f.fn].entry_bb[(f.block, f.index)]
                    for f in stack]
             # a snapshot that stopped mid-chunk enters through the
-            # hand-off (bb -1)
+            # careful stepper (bb -1)
             bb = gm.functions[frame.fn].entry_bb.get(
                 (frame.block, frame.index), -1)
         self._armed = True
@@ -561,11 +585,13 @@ class IRInterpreter(Simulator):
         tuples (see :mod:`repro.interp.codegen`); this loop handles the
         frame pushes/pops (with the decoded loop's exact depth and
         stack-overflow semantics), return-value flips, re-entry into
-        the compile unit that holds a branch's target chunk, the
-        hand-off of the chunk holding the injection target to the
-        careful stepper, and the fallback onto the decoded loop when
-        the step budget is about to expire.  ``bb`` -1 enters through
-        the hand-off.
+        the compile unit that holds a branch's target chunk, and the
+        one exceptional exit, ``(4,)``: the chunk could run out of step
+        budget or holds the injection target, so the decoded loop steps
+        it as the careful stepper (:meth:`_run_decoded` with the
+        function's chunk map) and answers with the action of the
+        chunk's closing control transfer.  ``bb`` -1 enters through
+        that exit.
         """
         c = [self.dyn_total, self.dyn_injectable,
              self.inject_index if self.inject_index is not None else -1,
@@ -580,7 +606,7 @@ class IRInterpreter(Simulator):
                 if r is None:
                     r = fns[frame.fn].units[bb](self, frame, c, bb)
                 tag = r[0]
-                if tag == 5:        # the branch left its unit
+                if tag == 5:        # a branch to chunk bb
                     bb = r[1]
                 elif tag == 1:      # ret
                     rv = r[1]
@@ -619,18 +645,15 @@ class IRInterpreter(Simulator):
                         arg_values=r[2], ret_flip_bit=r[4], code=code,
                     )
                     bb = 0
-                elif tag == 0:      # budget bail: decoded finishes
+                else:               # (4,): careful-step this chunk
                     self.dyn_total = c[0]
                     self.dyn_injectable = c[1]
                     try:
-                        return self._run_decoded(frame, stack)
+                        r = self._run_decoded(
+                            frame, stack, chunks=fns[frame.fn].entry_bb)
                     finally:
                         c[0] = self.dyn_total
                         c[1] = self.dyn_injectable
-                elif tag == 3:      # careful stepper reached a block start
-                    bb = fns[frame.fn].entry_bb[(frame.block, 0)]
-                else:               # hand-off: careful-step this chunk
-                    r = self._careful_step(frame, c, fns[frame.fn])
                     continue
                 r = None
         except KeyError as k:
@@ -640,92 +663,6 @@ class IRInterpreter(Simulator):
         finally:
             self.dyn_total = c[0]
             self.dyn_injectable = c[1]
-
-    def _careful_step(self, frame: _Frame, c, gf) -> tuple:
-        """Execute decoded entries from the frame's position to the end
-        of its chunk, i.e. the next control transfer (which always
-        lands on a chunk boundary), mirroring the decoded loop's counter
-        and injection semantics: the entry kinds carry the fault model's
-        site rule.  It runs the chunk generated code handed off because
-        it holds the injection target, and the rest of the chunk a
-        snapshot stopped in.  Returns a codegen driver action:
-        ``(1, rv)``, ``(2, ...)`` or ``(3,)`` after positioning
-        ``frame`` at a block start."""
-        dt, inj, target, inject_bit = c
-        max_steps = self.max_steps
-        stack_limit = self.memory.stack_limit
-        flip = _set_value if self.fault_model == "set" else _flip_value
-        code = frame.code
-        i = frame.index
-        try:
-            while True:
-                e = code[i]
-                kind = e[0]
-                i += 1
-                dt += 1
-                if dt > max_steps:
-                    raise SimTrap("step-budget",
-                                  f"exceeded {max_steps} steps")
-                if kind == 0:
-                    r = e[1](self, frame)
-                    if inj == target:
-                        r = flip(r, e[3].type, inject_bit)
-                        self.injected = True
-                        self.injected_iid = e[2]
-                    inj += 1
-                    frame.temps[e[2]] = r
-                elif kind == 8:
-                    frame.temps[e[2]] = e[1](self, frame)
-                elif kind == 5 or kind == 6 or kind < 0:
-                    p = e[1]
-                    if kind == 5 or kind == -1:
-                        pair = p
-                    else:
-                        pair = p[1] if p[0](self, frame) else p[2]
-                    if kind < 0:    # a cf site
-                        if inj == target:
-                            pair = self._redirect(frame, e, pair)
-                        inj += 1
-                    frame.block, frame.code = pair
-                    frame.index = 0
-                    return (3,)
-                elif kind == 2:
-                    e[1](self, frame)
-                elif kind == 4:
-                    p = e[1]
-                    rv = p(self, frame) if p is not None else None
-                    frame.index = i
-                    return (1, rv)
-                elif kind == 7:
-                    sp = (self.sp - e[1]) & ~7
-                    self.sp = sp
-                    if sp < stack_limit:
-                        raise SimTrap("stack-overflow",
-                                      f"@{frame.fn.name}")
-                    frame.temps[e[2]] = sp
-                else:               # call (kind 1 a site, 3 not)
-                    p = e[1]
-                    call_args = p[0](self, frame)
-                    flip_bit = None
-                    if kind == 1:
-                        if inj == target:
-                            flip_bit = inject_bit
-                            self.injected_iid = e[2]
-                        inj += 1
-                    frame.index = i
-                    return (2, p[1], call_args, p[2], flip_bit,
-                            gf.entry_bb[(frame.block, i)])
-        except IndexError:
-            raise IRError(
-                f"fell off block {frame.block.label} in @{frame.fn.name}"
-            ) from None
-        except KeyError as k:
-            raise IRError(
-                f"use of unevaluated %t{k.args[0]} in @{frame.fn.name}"
-            ) from None
-        finally:
-            c[0] = dt
-            c[1] = inj
 
     def _snapshot(self, stack: List[_Frame], frame: _Frame) -> IRSnapshot:
         frames = tuple(

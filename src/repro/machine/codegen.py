@@ -19,12 +19,12 @@ dispatch tree over its chunks.  Calls and returns stay in generated
 code: their targets are leaders, so a transfer inside the unit is just
 ``bb = <chunk>; continue``, and one that leaves the unit returns the
 target chunk to :meth:`AsmMachine._codegen`, which re-enters the unit
-holding it.  What
-generated code does not run, :func:`careful_until_leader` single-steps
-on decoded closures until execution re-joins a leader: the chunk that
-holds the injection target, and any pc that is not a chunk start (a
-snapshot's mid-chunk pc, a *corrupted* return address, a control-flow
-fault's redirect).
+holding it.  What generated code does not run,
+:func:`careful_until_leader` single-steps on decoded closures until
+execution re-joins a leader: a chunk the step budget could expire in,
+the chunk that holds the injection target, and any pc that is not a
+chunk start (a snapshot's mid-chunk pc, a *corrupted* return address, a
+control-flow fault's redirect).
 
 The per-uop bodies are not written here: :class:`_Emitter` subclasses
 the asm decoder (:class:`repro.machine.decode._Decoder`) and renders its
@@ -38,12 +38,15 @@ the memory's written extent (DESIGN §10) covering what they write
 through the ``LE``/``HS`` bound locals hoisted at function entry.
 
 Each chunk is emitted once, with its counters coalesced into one
-addition at the chunk exit, as in the IR backend.  The chunk that holds
-the injection target (``inj <= tgt < inj + M``, M its sites) is not
-run here: it is handed to :func:`careful_until_leader`, which steps it
-with exact counters and applies the fault through
+addition at the chunk exit, as in the IR backend.  One test guards the
+chunk entry, ``s + N > ms or inj <= tgt < inj + M`` (N its uops, M its
+sites; the second clause only where M > 0): a chunk the step budget
+could expire in, or that holds the injection target, is not run here
+but handed to :func:`careful_until_leader`, which steps it with exact
+counters, raises the step-budget trap at the uop naive raises it, and
+applies the fault through
 :meth:`~repro.machine.machine.AsmMachine._apply_fault`, the decoded
-core's own helper.  SEU and SET therefore generate the same source; it
+loop's own helper.  SEU and SET therefore generate the same source; it
 is cached per site rule.  Chunk lines are recorded in a per-unit fixup
 table (``_FIX<u>``) mapping generated line number -> (steps,
 injectable, pc) offsets; the wrapper's ``except`` arms repair the
@@ -54,12 +57,10 @@ other tiers raise.
 The generated functions return action tuples to the run loop in
 :meth:`AsmMachine._codegen`:
 
-``(0, pc)``  step budget could be hit inside the next chunk — the
-             driver finishes the run on the decoded core, which owns
-             the exact raise point;
 ``(1,)``     ``main`` returned through the sentinel (halt);
-``(2, pc)``  careful-step from ``pc`` to the next leader: the chunk at
-             leader ``pc`` holds the injection target, or a return
+``(2, pc)``  the one exceptional exit: careful-step from ``pc`` to the
+             next leader — the chunk at leader ``pc`` could run out of
+             step budget or holds the injection target, or a return
              address or cf redirect left the chunk starts;
 ``(3, k)``   a transfer left the unit: continue at chunk ``k``.
 """
@@ -202,9 +203,9 @@ class _Emitter(_Decoder):
         self.unit = (0, 0)
         self.fix: Dict[int, Tuple[int, int, int]] = {}
         self.cf = cf
-        #: under cf the register-destination sites vanish (no hand-off,
-        #: no coalesced inj) — control-uop chunk tails become the
-        #: injection sites instead
+        #: under cf the register-destination sites vanish (the exit
+        #: tests only the budget, no coalesced inj) — control-uop chunk
+        #: tails become the injection sites instead
         self.inj_kind = ([0] * len(program.uops) if cf
                          else program.inj_kind)
         self._interned: Dict[tuple, str] = {}
@@ -353,13 +354,15 @@ class _Emitter(_Decoder):
         ninj = sum(1 for i in range(L, end) if inj_kind[i])
         if kind == "ctl" and inj_kind[end - 1]:  # pragma: no cover
             raise ReproError("control uop with injectable destination")
-        with sb.block(f"if s + {span_len} > ms:"):
-            sb.line(f"return (0, {L})")
+        # the one exceptional exit: the step budget could expire inside
+        # the chunk, or it holds the injection target; the careful
+        # stepper raises the budget trap at the exact uop and applies
+        # the fault
+        test = f"s + {span_len} > ms"
         if ninj:
-            # the chunk holds the injection target: the careful stepper
-            # runs it and applies the fault
-            with sb.block(f"if inj <= tgt < inj + {ninj}:"):
-                sb.line(f"return (2, {L})")
+            test += f" or inj <= tgt < inj + {ninj}"
+        with sb.block(f"if {test}:"):
+            sb.line(f"return (2, {L})")
         npre = 0
         for pos, i in enumerate(range(L, body_end)):
             first = sb.next_lineno
@@ -439,9 +442,10 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
                          pc: int) -> int:
     """Single-step decoded closures from ``pc`` until execution re-joins
     a leader, stepping at least one uop: ``pc`` is the leader of a chunk
-    that holds the injection target, a snapshot's mid-chunk pc, or where
-    a corrupted return address or a cf redirect sent execution.  Mirrors
-    the decoded driver loop exactly, including the fault it applies
+    the step budget could expire in or that holds the injection target,
+    a snapshot's mid-chunk pc, or where a corrupted return address or a
+    cf redirect sent execution.  Mirrors the decoded driver loop
+    exactly, including the step-budget trap, the fault it applies
     (:meth:`AsmMachine._apply_fault`) and counter placement at every
     raise point."""
     fns = dp.fns

@@ -756,27 +756,9 @@ class AsmMachine(Simulator):
         from an :class:`AsmSnapshot` and streaming snapshots out at the
         requested ``watch`` injection indices (ascending order).
         """
-        self._decoded_core(*self._start(resume_from), watch, watch_cb)
-
-    def _decoded_core(
-        self,
-        st,
-        pc: int,
-        steps: int,
-        injectable: int,
-        watch: Optional[Sequence[int]] = None,
-        watch_cb=None,
-    ) -> None:
-        """The decoded driver loop proper, entered with live counters.
-
-        Split out from :meth:`_decoded` so the codegen tier can
-        hand over mid-run (step budget nearly exhausted) with exact
-        ``steps``/``injectable`` values.  Reads ``self.injected`` as the
-        starting flip state: a hand-over after the flip has been applied
-        must not lose it.
-        """
         from .decode import _Halt, decode_program
 
+        st, pc, steps, injectable = self._start(resume_from)
         prog = self.program
         mem = self.memory
         dp = decode_program(prog, mem)
@@ -795,7 +777,7 @@ class AsmMachine(Simulator):
         hook = tracer.hook if tracer is not None else None
 
         target = self.inject_index if self.inject_index is not None else -1
-        injected = self.injected
+        injected = False
         self._armed = True
 
         try:
@@ -848,11 +830,12 @@ class AsmMachine(Simulator):
 
         Drives the specialized executor chunk to chunk, re-entering the
         compile unit that holds the target chunk when a transfer leaves
-        its unit; drops to the decoded single-stepper for the chunk
-        that holds the injection target and wherever execution leaves
-        the leader map (a mid-chunk snapshot, a corrupted return
-        address, a cf redirect), and hands the whole run to the decoded
-        core when the step budget could expire inside the next chunk.
+        its unit.  Generated code has one exceptional exit, ``(2, pc)``:
+        the decoded single-stepper (:func:`careful_until_leader`) runs
+        from ``pc`` to the next leader a chunk that could run out of
+        step budget or holds the injection target, and wherever
+        execution leaves the leader map (a mid-chunk snapshot, a
+        corrupted return address, a cf redirect).
         """
         from .codegen import careful_until_leader, codegen_program
         from .decode import _Halt, decode_program
@@ -887,16 +870,7 @@ class AsmMachine(Simulator):
                 elif tag == 2:
                     pc = r[1]
                     k = None
-                elif tag == 1:
-                    break
-                else:
-                    # budget hand-over: the decoded core owns the
-                    # exact step-budget raise point
-                    try:
-                        self._decoded_core(st, r[1], c[0], c[1])
-                    finally:
-                        c[0] = self.dyn_total
-                        c[1] = self.dyn_injectable
+                else:               # (1,): main returned
                     break
         finally:
             self.dyn_total = c[0]
@@ -999,7 +973,6 @@ class AsmMachine(Simulator):
         elif kind == _RT_PRINT_CHAR:
             outputs.append(format_char(regs[_RDI]))
         elif kind == _RT_DETECT:
-            self.dyn_total = 0  # refreshed by caller paths; keep simple
             raise FaultDetected("checker")
         elif kind == _RT_MATH1:
             xmm[0] = payload(xmm[0])

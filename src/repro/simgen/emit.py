@@ -24,13 +24,6 @@ class SourceBuilder:
     def line(self, text: str) -> None:
         self._lines.append("    " * self._depth + text)
 
-    def lines(self, texts) -> None:
-        for text in texts:
-            self.line(text)
-
-    def blank(self) -> None:
-        self._lines.append("")
-
     def indent(self) -> None:
         self._depth += 1
 

@@ -648,14 +648,23 @@ def _wrong_operand_patch(ctx: _Context):
 
 
 def _dropped_flip_patch(ctx: _Context):
-    """Never hand the chunk holding the injection target to the careful
-    stepper: golden runs are unaffected, but the coalesced chunk runs
-    over the target and armed injections silently never land."""
+    """Drop the injection clause of the chunk exit: the chunk holding
+    the injection target is never handed to the careful stepper, so
+    golden runs are unaffected, but the coalesced chunk runs over the
+    target and armed injections silently never land."""
+    orig = _ircodegen._Emitter.exit_clauses
+    return _patched(_ircodegen._Emitter, "exit_clauses",
+                    lambda self, n, m: orig(self, n, m)[:1])
 
-    def no_handoff(self, sb, position, nsites):
-        pass
 
-    return _patched(_ircodegen._Emitter, "emit_handoff", no_handoff)
+def _unchecked_budget_patch(ctx: _Context):
+    """Drop the step-budget clause of the chunk exit (a chunk without
+    sites keeps a never-taken exit): a chunk the budget expires in runs
+    to its end, so generated code overruns the budget and a run naive
+    stops with a step-budget trap finishes."""
+    orig = _ircodegen._Emitter.exit_clauses
+    return _patched(_ircodegen._Emitter, "exit_clauses",
+                    lambda self, n, m: orig(self, n, m)[1:] or ["0"])
 
 
 def _unit_exit_patch(ctx: _Context):
@@ -682,8 +691,9 @@ def _sig_codegen(res) -> tuple:
 
 def _eval_codegen(ctx: _Context, mutant: Mutant):
     """Bit-identity check of the codegen tier against naive, run with
-    the mutant's patch applied: golden run, a spread injection sweep,
-    and a mutate-in-place/rerun cycle (stale-cache detector)."""
+    the mutant's patch applied: golden run, the golden run under two
+    step budgets it runs out of, a spread injection sweep, and a
+    mutate-in-place/rerun cycle (stale-cache detector)."""
     with mutant.build(ctx):
         def run(module, layout, dispatch, **kw):
             return IRInterpreter(module, layout=layout,
@@ -701,6 +711,14 @@ def _eval_codegen(ctx: _Context, mutant: Mutant):
                 f"output[:40] {codegen.output[:40]!r} vs "
                 f"{naive.output[:40]!r}, dyn_total {codegen.dyn_total} vs "
                 f"{naive.dyn_total}"), {}
+        for ms in (naive.dyn_total // 2, naive.dyn_total - 1):
+            a = run(module, layout, "naive", max_steps=ms)
+            b = run(module, layout, "codegen", max_steps=ms)
+            if _sig_codegen(a) != _sig_codegen(b):
+                return True, "codegen", (
+                    f"golden run under a {ms}-step budget diverged from "
+                    f"naive: {b.status.value} at {b.dyn_total} steps vs "
+                    f"{a.status.value}/{a.trap_kind} at {a.dyn_total}"), {}
         n_inj = naive.dyn_injectable
         ms = max(20_000, naive.dyn_total * 4)
         sites = sorted({0, 1, n_inj // 4, n_inj // 2,
@@ -737,8 +755,8 @@ def _eval_codegen(ctx: _Context, mutant: Mutant):
                 f"mutation: dyn_total {after_cg.dyn_total} != naive "
                 f"{after_naive.dyn_total}"), metrics
         return False, "codegen", (
-            f"bit-identical to naive: golden + {runs} injections + "
-            "mutate/rerun cycle"), metrics
+            f"bit-identical to naive: golden + 2 budget runs + {runs} "
+            "injections + mutate/rerun cycle"), metrics
 
 
 # ---------------------------------------------------------------------------
@@ -898,9 +916,13 @@ MUTANTS: Tuple[Mutant, ...] = (
            "generator inlines the wrong operand literal (low bit flip)",
            _wrong_operand_patch),
     Mutant("codegen-dropped-flip-hook", "codegen", "codegen", "none",
-           "generated code never hands the injection target's chunk "
-           "to the careful stepper",
+           "the chunk exit drops its injection clause: the injection "
+           "target's chunk never reaches the careful stepper",
            _dropped_flip_patch),
+    Mutant("codegen-unchecked-budget", "codegen", "codegen", "none",
+           "the chunk exit drops its step-budget clause: generated code "
+           "runs past the step budget",
+           _unchecked_budget_patch),
     Mutant("codegen-unit-exit-wrong-chunk", "codegen", "codegen", "none",
            "a branch leaving its compile unit re-enters the first chunk "
            "of the unit it leaves, not its target",
@@ -960,7 +982,8 @@ MUTANTS: Tuple[Mutant, ...] = (
 )
 
 #: fast subset for CI smoke runs: one golden kill, one structural kill,
-#: one coverage kill, one invariant kill, one identity row
+#: one coverage kill, one invariant kill, both clauses of the codegen
+#: chunk exit, one identity row
 SMOKE_MUTANTS: Tuple[str, ...] = (
     "dup-checker-inverted",
     "dup-shadow-operands-swapped",
@@ -968,6 +991,7 @@ SMOKE_MUTANTS: Tuple[str, ...] = (
     "dup-checker-branch-unwired",
     "plan-busted-budget",
     "codegen-dropped-flip-hook",
+    "codegen-unchecked-budget",
     "cfc-dropped-update",
     "bitlive-skip-checker-shadow",
     "identity-dup",

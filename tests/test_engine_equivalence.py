@@ -538,6 +538,43 @@ class TestTrapEquivalence:
         assert _res_sig(got[0]) == _res_sig(full)
 
 
+#: step budgets per case, spread from 1 to the run's length + 1
+BUDGET_SPREAD = 100
+
+
+def _budgets(dyn_total):
+    spread = {1 + dyn_total * k // (BUDGET_SPREAD - 1)
+              for k in range(BUDGET_SPREAD)}
+    return sorted(spread | {dyn_total - 1, dyn_total, dyn_total + 1})
+
+
+class TestStepBudgetTable:
+    """Every tier stops a run at the same step when the step budget runs
+    out: whichever chunk the budget expires in, codegen leaves through
+    its one exceptional exit and the careful stepper raises the trap at
+    the instruction where naive and decoded raise it.  Budgets run from
+    1 to one past the run's length, for the golden run and one injected
+    run of each case."""
+
+    @pytest.mark.parametrize("fault_model", ["seu", "cf"])
+    @pytest.mark.parametrize("program",
+                             ["crc32", "crc32-dup100", "patricia"])
+    @pytest.mark.parametrize("layer", ["ir", "asm"])
+    def test_every_tier_stops_at_the_same_step(self, handoff_builds, layer,
+                                               program, fault_model):
+        lay = _Layer.of(handoff_builds[program], layer, fault_model)
+        golden = lay.golden("naive")
+        room = CampaignConfig().max_steps(golden.dyn_total)
+        for kw in ({}, {"inject_index": golden.dyn_injectable // 3,
+                        "inject_bit": 5}):
+            full = lay.simulator("naive", room).run(**kw)
+            for max_steps in _budgets(full.dyn_total):
+                want = _res_sig(lay.simulator("naive", max_steps).run(**kw))
+                for tier in ("decoded", "codegen"):
+                    got = lay.simulator(tier, max_steps).run(**kw)
+                    assert _res_sig(got) == want, (kw, max_steps, tier)
+
+
 class TestBenchHarness:
     def test_bench_document_shape(self):
         doc = run_campaign_bench("crc32", scale="tiny", n=6, seed=1)

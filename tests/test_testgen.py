@@ -211,6 +211,23 @@ def test_mutation_cfc_weakenings_are_killed():
     assert report.ok and not report.survivors and not report.false_kills
 
 
+def test_mutation_codegen_exit_clauses_are_killed():
+    """Each clause of the codegen chunk exit is load-bearing: dropping
+    the injection clause loses the faults, dropping the budget clause
+    lets a budgeted golden run finish; the unpatched tier survives."""
+    report = run_mutation_suite(names=(
+        "codegen-dropped-flip-hook",
+        "codegen-unchecked-budget",
+        "identity-codegen",
+    ))
+    by_name = {r.name: r for r in report.results}
+    assert "injections diverged" in by_name[
+        "codegen-dropped-flip-hook"].detail
+    assert "step budget" in by_name["codegen-unchecked-budget"].detail
+    assert not by_name["identity-codegen"].killed
+    assert report.ok and not report.survivors and not report.false_kills
+
+
 def test_validate_plan_accepts_real_plan_and_rejects_corruption():
     module = compile_source(generate_minic(6).source, "plan")
     profile = profile_module(module, n_campaigns=40, seed=0)
